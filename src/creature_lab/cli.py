@@ -15,11 +15,19 @@ import sys
 from . import fixtures as fx
 from . import verify
 from .creature import Creature, norms, validate_creature
-from .errors import BudgetError, ConstructionError, DomainError, PreconditionError, ValidationError
+from .errors import (
+    BudgetError,
+    ConstructionError,
+    DomainError,
+    PreconditionError,
+    UsageError,
+    ValidationError,
+)
 from .forcing import NotRelated, leq, validate_condition
 from .generators import PROFILES, profile as named_profile
 from .homogenize import LeafLabeling, decide, purify
 from .ops import bigness_split, fill, glue, halve, rebase, shrink_to_norm
+from .oracle import work_budget
 from .params import default_shape, make_growth
 from .specfn import enumerate_spec
 from .tree_model import random_tree
@@ -37,6 +45,21 @@ def _load_params(doc: dict, fallback: str = "default"):
     if doc.get("params"):
         return fx.params_from_fixture(doc["params"])
     return make_growth(2) if fallback == "default" else named_profile(fallback)
+
+
+def _entry(doc: dict, key: str, index: int) -> dict:
+    """doc[key][index]; an index past the end is a domain error naming it."""
+    items = doc[key]
+    if not 0 <= index < len(items):
+        raise DomainError(f"index {index} is out of range: {key!r} has {len(items)} entries")
+    return items[index]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _growth_from_flag(flag: str):
@@ -111,7 +134,7 @@ def cmd_apply_op(args) -> int:
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
     shape = default_shape()
-    cplus = fx.creature_from_fixture(doc["creatures"][args.index])
+    cplus = fx.creature_from_fixture(_entry(doc, "creatures", args.index))
     c = cplus.simple
     out = fx.empty_document()
     out["tree"] = doc["tree"]
@@ -187,8 +210,8 @@ def cmd_check_leq(args) -> int:
     qdoc = fx.load_document(args.q)
     tree = fx.tree_from_fixture(pdoc["tree"])
     params = _load_params(pdoc)
-    p = fx.condition_from_fixture(pdoc["conditions"][0])
-    q = fx.condition_from_fixture(qdoc["conditions"][0])
+    p = fx.condition_from_fixture(_entry(pdoc, "conditions", 0))
+    q = fx.condition_from_fixture(_entry(qdoc, "conditions", 0))
     res = leq(p, q, tree, params)
     if isinstance(res, NotRelated):
         _emit({"leq": "no", "clause": res.clause, "detail": res.detail})
@@ -203,8 +226,11 @@ def cmd_purify(args) -> int:
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
     shape = default_shape()
-    p = fx.condition_from_fixture(doc["conditions"][0])
+    p = fx.condition_from_fixture(_entry(doc, "conditions", 0))
     order = list(p.fns)
+    bad = [j for j in args.x if not 0 <= j < len(order)]
+    if bad:
+        raise DomainError(f"--x index {bad[0]} is out of range: the fragment has {len(order)} nodes")
     xset = frozenset(order[j] for j in args.x)
     res = purify(p, xset, args.kstar, tree, params, shape)
     out = fx.empty_document()
@@ -228,7 +254,7 @@ def cmd_decide(args) -> int:
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
     shape = default_shape()
-    p = fx.condition_from_fixture(doc["conditions"][0])
+    p = fx.condition_from_fixture(_entry(doc, "conditions", 0))
     ldoc = fx.load_document(args.label) if args.label else doc
     if not ldoc["labelings"]:
         raise DomainError("no labeling in the fixture")
@@ -344,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_propcheck)
 
     p = sub.add_parser("report", help="summarize a fixture or suite report")
@@ -360,7 +386,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0, None) else 0
     try:
+        work_budget()
         return args.fn(args)
+    except UsageError as e:
+        print(f"usage: {e}", file=sys.stderr)
+        return USAGE_EXIT
     except BudgetError as e:
         print(f"budget: {e}", file=sys.stderr)
         return BUDGET_EXIT

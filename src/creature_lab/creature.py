@@ -29,14 +29,6 @@ class SimpleCreature:
         vr = tuple(sorted(set(valrange), key=lambda fn: fn.pairs))
         return SimpleCreature(i=i, base=base, valrange=vr)
 
-    def new_points(self) -> frozenset[int]:
-        """Union of member domains minus the base domain."""
-        base_dom = self.base.domset()
-        pts: set[int] = set()
-        for eta in self.valrange:
-            pts.update(eta.domset() - base_dom)
-        return frozenset(pts)
-
     def __repr__(self) -> str:
         return f"SimpleCreature(i={self.i}, base={self.base}, |val|={len(self.valrange)})"
 
@@ -51,16 +43,18 @@ class Creature:
             raise ValidationError("creature counter k must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClauseCheck:
     clause: str
     ok: bool
     witness: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreatureReport:
-    checks: list[ClauseCheck]
+    """Read-only: one report is shared by every caller through the tree's memo."""
+
+    checks: tuple[ClauseCheck, ...]
 
     @property
     def ok(self) -> bool:
@@ -93,12 +87,31 @@ def validate_creature(
     tree: AmbientTree,
     check_d_always: bool = False,
 ) -> CreatureReport:
-    """Clause-by-clause validation; clause (d) may be implied by norm0 > 0."""
+    """Clause-by-clause validation; clause (d) may be implied by norm0 > 0.
+
+    Remembered in the tree's memo under (c, params, check_d_always).
+    """
+    return tree.memoized(
+        ("validate_creature", c, params, check_d_always),
+        _validate_creature,
+        c,
+        params,
+        tree,
+        check_d_always,
+    )
+
+
+def _validate_creature(
+    c: SimpleCreature,
+    params: GrowthSequences,
+    tree: AmbientTree,
+    check_d_always: bool,
+) -> CreatureReport:
     checks: list[ClauseCheck] = []
     i = c.i
     if i < 0 or i > params.imax:
         checks.append(ClauseCheck("(a)", False, f"kind {i} outside [0, imax]"))
-        return CreatureReport(checks)
+        return CreatureReport(tuple(checks))
     checks.append(ClauseCheck("(a)", True))
 
     # (b): kind is forced by the base domain size; base lives in spec_{n3[i-1]}
@@ -145,12 +158,12 @@ def validate_creature(
             checks.append(ClauseCheck("(d)", ok_d, wit_d))
         else:
             report_ok = all(ch.ok for ch in checks)
-            if report_ok and norm0(c, tree, params, validate=False) > 0:
+            if report_ok and cached_norm0(c, tree, params, validate=False) > 0:
                 checks.append(ClauseCheck("(d)", True, "implied by norm0 > 0"))
             else:
                 ok_d, wit_d = clause_d_holds(c)
                 checks.append(ClauseCheck("(d)", ok_d, wit_d))
-    return CreatureReport(checks)
+    return CreatureReport(tuple(checks))
 
 
 def _max_beta_k(dom_size: int, n2i: int, cap: int) -> int:
@@ -173,7 +186,8 @@ def norm0(
 
     Only traces of branches on the creature's new points and only values that
     actually occur on new points matter; both reductions are exercised against
-    the naive oracle in the verification suite.  Capped at n1[i].
+    the naive oracle in the verification suite.  Capped at n1[i].  Computed
+    afresh on every call; `cached_norm0` remembers it in the tree's memo.
     """
     if validate:
         rep = validate_creature(c, params, tree)
@@ -251,6 +265,26 @@ def norm0(
     return best
 
 
+def cached_norm0(
+    c: SimpleCreature,
+    tree: AmbientTree,
+    params: GrowthSequences,
+    validate: bool = True,
+) -> int:
+    """norm0, remembered in the tree's memo under (c, params).
+
+    norm0 itself stays uncached, so that criterion 1 compares its computation
+    with the oracle, and so that a copy rebuilt from its source (the planted
+    reduction bugs of the verification suite and of the benchmark's tests)
+    neither reads nor writes a memo.
+    """
+    if validate:
+        rep = validate_creature(c, params, tree)
+        if not rep.ok:
+            raise ValidationError(f"norm0 of invalid creature: {rep.failures()[0].clause}")
+    return tree.memoized(("norm0", c, params), norm0, c, tree, params, False)
+
+
 @dataclass(frozen=True)
 class NormRecord:
     norm0: int
@@ -275,7 +309,7 @@ def norms(
 ) -> NormRecord:
     """All six norm values of a creature."""
     c = cplus.simple
-    n0 = norm0(c, tree, params, validate=validate)
+    n0 = cached_norm0(c, tree, params, validate=validate)
     ns = normstar(c, params)
     nh = min(n0, ns)
     return NormRecord(
@@ -291,4 +325,4 @@ def norms(
 def normhalf(
     c: SimpleCreature, tree: AmbientTree, params: GrowthSequences, validate: bool = False
 ) -> int:
-    return min(norm0(c, tree, params, validate=validate), normstar(c, params))
+    return min(cached_norm0(c, tree, params, validate=validate), normstar(c, params))

@@ -19,3 +19,7 @@ class ConstructionError(ValueError):
 
 class BudgetError(RuntimeError):
     """An exhaustive computation would exceed the configured work budget."""
+
+
+class UsageError(ValueError):
+    """A flag or environment value is malformed (exit 64 on the command line)."""

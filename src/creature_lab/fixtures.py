@@ -14,6 +14,8 @@ Schema:
                "parent": idx|null, "klabel": N}, ...],
                "coverage": {"k": N, "alpha": N, "u": [...]} | null}, ...]
   labelings  [{"condition": idx, "values": [[leaf-node-idx, value], ...]}, ...]
+
+Malformed input raises ConstructionError naming the bad field.
 """
 
 from __future__ import annotations
@@ -33,12 +35,64 @@ def canonical_dumps(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_REQUIRED = object()
+
+
+def _field(doc: Any, key: str, where: str, convert=None, default: Any = _REQUIRED) -> Any:
+    """doc[key] of a JSON object, checked by `convert`; errors name the field."""
+    if type(doc) is not dict:
+        raise ConstructionError(f"{where} must be a JSON object")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ConstructionError(f"{where}: missing field {key!r}")
+        return default
+    return doc[key] if convert is None else convert(doc[key], (where, key))
+
+
+def _malformed(label: tuple[str, str], what: str) -> ConstructionError:
+    where, key = label
+    return ConstructionError(f"{where}: field {key!r} must be {what}")
+
+
+def _int(value: Any, label: tuple[str, str]) -> int:
+    if type(value) is not int:
+        raise _malformed(label, f"an integer, got {value!r}")
+    return value
+
+
+def _list(value: Any, label: tuple[str, str]) -> list:
+    if type(value) is not list:
+        raise _malformed(label, "a list")
+    return value
+
+
+def _int_list(value: Any, label: tuple[str, str]) -> list[int]:
+    if not all(type(v) is int for v in _list(value, label)):
+        raise _malformed(label, "a list of integers")
+    return value
+
+
+def _pairs(value: Any, label: tuple[str, str]) -> list[list[int]]:
+    """A list of integer pairs: assignments [node, value] or edges [parent, child]."""
+    if not all(
+        type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
+        for pair in _list(value, label)
+    ):
+        raise _malformed(label, "a list of integer pairs")
+    return value
+
+
+def _pair_lists(value: Any, label: tuple[str, str]) -> list[list[list[int]]]:
+    return [_pairs(v, label) for v in _list(value, label)]
+
+
 def specfn_to_fixture(fn: SpecFn) -> dict:
     return {"assignments": [list(p) for p in fn.pairs], "bound": fn.bound}
 
 
 def specfn_from_fixture(doc: dict) -> SpecFn:
-    return SpecFn.make({int(a): int(b) for a, b in doc["assignments"]}, bound=doc.get("bound", 0))
+    pairs = _field(doc, "assignments", "specfn", _pairs)
+    return SpecFn.make(dict(pairs), bound=_field(doc, "bound", "specfn", _int, default=0))
 
 
 def params_to_fixture(g: GrowthSequences) -> dict:
@@ -46,7 +100,8 @@ def params_to_fixture(g: GrowthSequences) -> dict:
 
 
 def params_from_fixture(doc: dict) -> GrowthSequences:
-    return make_growth(doc["imax"], (doc["n1"], doc["n2"], doc["n3"]))
+    seqs = tuple(_field(doc, key, "params", _int_list) for key in ("n1", "n2", "n3"))
+    return make_growth(_field(doc, "imax", "params", _int), seqs)
 
 
 def tree_to_fixture(t: AmbientTree) -> dict:
@@ -55,7 +110,11 @@ def tree_to_fixture(t: AmbientTree) -> dict:
 
 
 def tree_from_fixture(doc: dict) -> AmbientTree:
-    return build_tree(doc["width"], [tuple(e) for e in doc["edges"]], nodes=doc.get("nodes", []))
+    return build_tree(
+        _field(doc, "width", "tree", _int),
+        _field(doc, "edges", "tree", _pairs),
+        nodes=_field(doc, "nodes", "tree", _int_list, default=[]),
+    )
 
 
 def creature_to_fixture(c: Creature | SimpleCreature) -> dict:
@@ -72,9 +131,12 @@ def creature_to_fixture(c: Creature | SimpleCreature) -> dict:
 
 
 def creature_from_fixture(doc: dict) -> Creature:
-    base = SpecFn.make({int(a): int(b) for a, b in doc["base"]})
-    vr = [SpecFn.make({int(a): int(b) for a, b in mem}) for mem in doc["valrange"]]
-    return Creature(SimpleCreature.make(doc["i"], base, vr), k=doc.get("k", 1))
+    base = SpecFn.make(dict(_field(doc, "base", "creature", _pairs)))
+    vr = [SpecFn.make(dict(mem)) for mem in _field(doc, "valrange", "creature", _pair_lists)]
+    return Creature(
+        SimpleCreature.make(_field(doc, "i", "creature", _int), base, vr),
+        k=_field(doc, "k", "creature", _int, default=1),
+    )
 
 
 def condition_to_fixture(p: ConditionFragment) -> dict:
@@ -98,17 +160,24 @@ def condition_to_fixture(p: ConditionFragment) -> dict:
 
 
 def condition_from_fixture(doc: dict) -> ConditionFragment:
-    fns = [SpecFn.make({int(a): int(b) for a, b in node["fn"]}) for node in doc["nodes"]]
+    nodes = _field(doc, "nodes", "condition", _list)
+    fns = [SpecFn.make(dict(_field(node, "fn", "condition node", _pairs))) for node in nodes]
     parent: dict[SpecFn, SpecFn | None] = {}
     klabel: dict[SpecFn, int] = {}
-    for fn, node in zip(fns, doc["nodes"]):
-        par = node["parent"]
+    for fn, node in zip(fns, nodes):
+        par = _field(node, "parent", "condition node")
+        if par is not None and (type(par) is not int or not 0 <= par < len(fns)):
+            raise _malformed(("condition node", "parent"), f"null or a node index below {len(fns)}")
         parent[fn] = fns[par] if par is not None else None
-        klabel[fn] = node["klabel"]
+        klabel[fn] = _field(node, "klabel", "condition node", _int)
     cov = None
     if doc.get("coverage"):
         c = doc["coverage"]
-        cov = Coverage(k=c["k"], alpha=c["alpha"], u=frozenset(c["u"]))
+        cov = Coverage(
+            k=_field(c, "k", "coverage", _int),
+            alpha=_field(c, "alpha", "coverage", _int),
+            u=frozenset(_field(c, "u", "coverage", _int_list)),
+        )
     return ConditionFragment(parent=parent, klabel=klabel, coverage=cov)
 
 
@@ -122,7 +191,10 @@ def labeling_to_fixture(p: ConditionFragment, values: dict[SpecFn, int], cond_in
 
 def labeling_from_fixture(doc: dict, p: ConditionFragment) -> dict[SpecFn, int]:
     order = list(p.fns)
-    return {order[j]: v for j, v in doc["values"]}
+    values = _field(doc, "values", "labeling", _pairs)
+    if not all(0 <= j < len(order) for j, _ in values):
+        raise _malformed(("labeling", "values"), f"pairs [node index below {len(order)}, value]")
+    return {order[j]: v for j, v in values}
 
 
 def empty_document() -> dict:
@@ -138,11 +210,16 @@ def empty_document() -> dict:
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConstructionError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConstructionError("fixture document must be a JSON object")
     base = empty_document()
     base.update(doc)
+    for key in ("specfns", "creatures", "conditions", "labelings"):
+        _list(base[key], ("document", key))
     return base
 
 

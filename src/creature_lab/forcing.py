@@ -14,9 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .creature import (
-    Creature,
     SimpleCreature,
-    norm0,
+    cached_norm0,
     normhalf,
     normstar,
     validate_creature,
@@ -40,7 +39,17 @@ class Coverage:
 class ConditionFragment:
     """Immutable levelled tree of SpecFns with counter labels."""
 
-    __slots__ = ("fns", "parent", "klabel", "coverage", "_levels", "_children", "_root")
+    __slots__ = (
+        "fns",
+        "parent",
+        "klabel",
+        "coverage",
+        "_levels",
+        "_level_of",
+        "_children",
+        "_internal",
+        "_root",
+    )
 
     def __init__(
         self,
@@ -57,8 +66,6 @@ class ConditionFragment:
         self._root = roots[0]
         level: dict[SpecFn, int] = {self._root: 0}
         children: dict[SpecFn, list[SpecFn]] = {fn: [] for fn in parent}
-        pending = [fn for fn in parent if fn is not self._root]
-        # iterate until levels settle (parents may come in any order)
         for fn, par in parent.items():
             if par is not None:
                 if par not in parent:
@@ -85,7 +92,9 @@ class ConditionFragment:
         self._levels = tuple(
             tuple(sorted(by_level[lv], key=lambda f: f.pairs)) for lv in range(max(by_level) + 1)
         )
+        self._level_of = level
         self.fns = tuple(fn for lv in self._levels for fn in lv)
+        self._internal = tuple(fn for fn in self.fns if self._children[fn])
         for fn in self.fns:
             if fn not in self.klabel:
                 raise ConstructionError(f"missing klabel for {fn}")
@@ -106,10 +115,7 @@ class ConditionFragment:
         return self._levels[lv] if 0 <= lv < len(self._levels) else ()
 
     def level_of(self, fn: SpecFn) -> int:
-        for lv, fns in enumerate(self._levels):
-            if fn in fns:
-                return lv
-        raise KeyError(fn)
+        return self._level_of[fn]
 
     def children(self, fn: SpecFn) -> tuple[SpecFn, ...]:
         return self._children[fn]
@@ -118,7 +124,7 @@ class ConditionFragment:
         return tuple(fn for fn in self.fns if not self._children[fn])
 
     def internal(self) -> tuple[SpecFn, ...]:
-        return tuple(fn for fn in self.fns if self._children[fn])
+        return self._internal
 
     def __contains__(self, fn: SpecFn) -> bool:
         return fn in self.parent
@@ -161,10 +167,6 @@ def creature_at(p: ConditionFragment, eta: SpecFn, params: GrowthSequences) -> S
         raise DomainError(f"{eta} is a leaf; fragments carry no creature there")
     i = kind_of(p, params) + p.level_of(eta)
     return SimpleCreature.make(i, eta, kids)
-
-
-def creature_plus_at(p: ConditionFragment, eta: SpecFn, params: GrowthSequences) -> Creature:
-    return Creature(simple=creature_at(p, eta, params), k=max(p.klabel[eta], 1))
 
 
 @dataclass
@@ -295,7 +297,7 @@ def validate_condition(
         ok_nf, wit_nf = True, ""
         for lv, floor in enumerate(norm_floor):
             for eta in p.level_nodes(lv):
-                if eta in set(p.internal()):
+                if p.children(eta):
                     c = creature_at(p, eta, params)
                     if normhalf(c, tree, params) < floor:
                         ok_nf, wit_nf = False, f"half-norm below floor {floor} at level {lv}"
@@ -446,7 +448,7 @@ def leq_n(
         nu = pr(eta)
         same = (
             eta == nu
-            and nu in set(p.internal())
+            and p.children(nu)
             and set(q.children(eta)) == set(p.children(nu))
             and q.klabel[eta] == p.klabel[nu]
         )
@@ -647,7 +649,7 @@ def normalize(
         kids = p.children(fn)
         if not kids:
             return 10**9
-        own = norm0(creature_at(p, fn, params), tree, params, validate=False)
+        own = cached_norm0(creature_at(p, fn, params), tree, params, validate=False)
         m = min([own] + [walk(ch) for ch in kids])
         cone_min[fn] = m
         return m
@@ -721,7 +723,7 @@ def smoothen(
             if not p.children(eta):
                 continue
             c = creature_at(p, eta, params)
-            n0 = norm0(c, tree, params, validate=False)
+            n0 = cached_norm0(c, tree, params, validate=False)
             need = len(
                 set().union(*(missing_per_leaf[l] for l in _leaves_under(p, eta)))
             )

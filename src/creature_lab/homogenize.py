@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .creature import SimpleCreature, norm0, normhalf, validate_creature
-from .errors import DomainError, PreconditionError, ValidationError
+from .creature import SimpleCreature, cached_norm0, normhalf, validate_creature
+from .errors import ConstructionError, DomainError, PreconditionError, ValidationError
 from .forcing import (
     ConditionFragment,
     Projection,
@@ -91,7 +91,7 @@ def purify(
     if not is_upward_closed(p, xset):
         raise PreconditionError("X is not upward closed in the fragment order")
     for eta in p.internal():
-        n0 = norm0(creature_at(p, eta, params), tree, params, validate=False)
+        n0 = cached_norm0(creature_at(p, eta, params), tree, params, validate=False)
         if n0 <= 0:
             raise PreconditionError(f"norm0 = 0 at {eta}; purify needs positive norms")
 
@@ -139,7 +139,7 @@ def purify(
         side0 = tuple(ch for ch in kids if colour[ch] == 0)
         side1 = tuple(ch for ch in kids if colour[ch] == 1)
         c = creature_at(p, fn, params)
-        n0 = norm0(c, tree, params, validate=False)
+        n0 = cached_norm0(c, tree, params, validate=False)
         target = (n0 + 1) // 2
         pick: tuple[SpecFn, ...] | None = None
         pick_colour = 0
@@ -147,7 +147,7 @@ def purify(
             if not side:
                 continue
             cand = SimpleCreature.make(c.i, c.base, side)
-            if norm0(cand, tree, params, validate=False) >= target:
+            if cached_norm0(cand, tree, params, validate=False) >= target:
                 pick, pick_colour = side, col
                 break
         if pick is None:
@@ -157,7 +157,7 @@ def purify(
             for side, col in ((side0, 0), (side1, 1)):
                 if side:
                     cand = SimpleCreature.make(c.i, c.base, side)
-                    n_side = norm0(cand, tree, params, validate=False)
+                    n_side = cached_norm0(cand, tree, params, validate=False)
                     if n_side >= 1 or validate_creature(cand, params, tree).ok:
                         scored.append((-n_side, col, side))
             if not scored:
@@ -201,10 +201,6 @@ def purify(
     # compute the uniform inside level per inside-front element
     for nu in front:
         if alternatives[nu] == "inside":
-            lvl = q.depth
-            for fn in q.cone_nodes(nu):
-                if fn in xset:
-                    lvl = min(lvl, q.level_of(fn))
             inside_levels[nu] = _verify_inside_level(q, nu, xset)
     return PurifyResult(fragment=q, front=front, alternatives=alternatives, inside_levels=inside_levels)
 
@@ -420,7 +416,7 @@ def decide(
             keep.update(p.level_nodes(l2))
         try:
             q = _subfragment(p, keep)
-        except Exception:
+        except ConstructionError:
             continue
         if not validate_condition(q, tree, params).ok:
             continue

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .creature import Creature, SimpleCreature, norm0, normhalf, validate_creature
+from .creature import Creature, SimpleCreature, cached_norm0, normhalf, validate_creature
 from .errors import DomainError, PreconditionError, ValidationError
 from .params import GrowthSequences, NormShape, halving_witness, log2floor_ratio
 from .specfn import SpecFn, is_spec, union_spec
@@ -52,7 +52,7 @@ def glue(
     domain-budget step of the construction exactly (2^m0 <= n2[i]/l*).
     """
     i = c.i
-    n0 = norm0(c, tree, params)
+    n0 = cached_norm0(c, tree, params)
     _require(n0 > 0, "(b)", f"norm0(c) = {n0} not > 0")
     _require(kstar > 1, "(c)", f"kstar = {kstar} not > 1")
     _require(
@@ -116,7 +116,7 @@ def fill(
     assigned to the sorted xs in increasing order.
     """
     i = c.i
-    k = norm0(c, tree, params)
+    k = cached_norm0(c, tree, params)
     m = len(xs)
     _require(k >= 1, "(b)", f"norm0(c) = {k} not >= 1")
     _require(k <= params.n1[i], "(b)", "norm0(c) exceeds n1[i]")
@@ -207,7 +207,7 @@ def rebase(
 ) -> OpResult:
     """Replace the base by etastar, unioning it into every member."""
     i = c.i
-    n0 = norm0(c, tree, params)
+    n0 = cached_norm0(c, tree, params)
     _require(n0 >= 1, "(b)", f"norm0(c) = {n0} not >= 1")
     _require(etastar.extends(c.base), "(c)", "etastar does not contain the base")
     _require(
@@ -257,7 +257,7 @@ def shrink_to_norm(
     params: GrowthSequences,
 ) -> OpResult:
     """A sub-value-range creature with norm0 exactly k (1 <= k <= norm0)."""
-    n0 = norm0(c, tree, params)
+    n0 = cached_norm0(c, tree, params)
     _require(1 <= k <= n0, "pre", f"need 1 <= k <= norm0(c) = {n0}, got {k}")
     current = c
     cur_norm = n0
@@ -268,7 +268,7 @@ def shrink_to_norm(
                 break
             rest = tuple(f for f in current.valrange if f != eta)
             cand = SimpleCreature.make(c.i, c.base, rest)
-            cand_norm = norm0(cand, tree, params, validate=False)
+            cand_norm = cached_norm0(cand, tree, params, validate=False)
             if cand_norm >= k:
                 current, cur_norm = cand, cand_norm
                 progressed = True
@@ -321,8 +321,8 @@ def bigness_split(
     else:
         c1 = SimpleCreature.make(simple.i, simple.base, val1)
         c2 = SimpleCreature.make(simple.i, simple.base, val2)
-        n1 = norm0(c1, tree, params, validate=False)
-        n2 = norm0(c2, tree, params, validate=False)
+        n1 = cached_norm0(c1, tree, params, validate=False)
+        n2 = cached_norm0(c2, tree, params, validate=False)
         side = 1 if n1 >= n2 else 2
         kept = c1 if side == 1 else c2
     result: SimpleCreature | Creature
@@ -331,8 +331,8 @@ def bigness_split(
     else:
         result = kept
     info = {
-        "norm0_kept": norm0(kept, tree, params, validate=False),
-        "norm0_orig": norm0(simple, tree, params, validate=False),
+        "norm0_kept": cached_norm0(kept, tree, params, validate=False),
+        "norm0_orig": cached_norm0(simple, tree, params, validate=False),
     }
     return SplitResult(side=side, creature=result, norms=info)
 

@@ -15,7 +15,7 @@ import math
 import os
 
 from .creature import SimpleCreature, validate_creature
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, UsageError, ValidationError
 from .params import GrowthSequences
 from .tree_model import AmbientTree
 
@@ -27,11 +27,18 @@ A_MASK_TABLE_LIMIT = 1 << 14
 
 
 def work_budget() -> int:
+    """CREATURE_LAB_BUDGET, or the default when unset; malformed values raise."""
     raw = os.environ.get("CREATURE_LAB_BUDGET", "")
-    try:
-        return int(raw) if raw else DEFAULT_BUDGET
-    except ValueError:
+    if not raw:
         return DEFAULT_BUDGET
+    malformed = f"CREATURE_LAB_BUDGET must be a non-negative integer, got {raw!r}"
+    try:
+        value = int(raw)
+    except ValueError:
+        raise UsageError(malformed) from None
+    if value < 0:
+        raise UsageError(malformed)
+    return value
 
 
 def _instance_cost(branch_count: int, n3: int, k: int, val_size: int) -> int:

@@ -53,11 +53,6 @@ class SpecFn:
         mine = dict(self.pairs)
         return all(mine.get(x) == v for x, v in other.pairs)
 
-    def union_pairs(self, other: "SpecFn") -> tuple[tuple[int, int], ...]:
-        merged = dict(self.pairs)
-        merged.update(other.pairs)
-        return tuple(sorted(merged.items()))
-
     def __repr__(self) -> str:
         body = ",".join(f"{x}:{v}" for x, v in self.pairs)
         return "{" + body + "}"
@@ -129,7 +124,8 @@ def union_spec(tree: AmbientTree, eta: SpecFn, nu: SpecFn) -> SpecFn | Incompati
         merged[x] = v
     items = sorted(merged.items())
     for (x, vx), (y, vy) in itertools.combinations(items, 2):
-        if vx == vy and tree.comparable(x, y):
+        # a node outside the tree is comparable to none (is_spec rejects it)
+        if vx == vy and x in tree and y in tree and tree.comparable(x, y):
             return Incompatible(reason="comparable nodes share a value", witness=(x, y))
     return SpecFn.make(merged, bound=max(eta.bound, nu.bound))
 

@@ -12,11 +12,19 @@ from typing import Iterable, Sequence
 
 from .errors import ConstructionError
 
+# entries one tree's memo holds before it is emptied and refilled
+MEMO_LIMIT = 1024
+_MISSING = object()
+
 
 class AmbientTree:
-    """Immutable rooted forest with precomputed ancestor and branch data."""
+    """Immutable rooted forest with precomputed ancestor and branch data.
 
-    __slots__ = ("width", "nodes", "parent", "_children", "_ancestors", "_branches")
+    The tree also owns a bounded memo of values derived from it (game norms
+    and creature validations); it dies with the tree.
+    """
+
+    __slots__ = ("width", "nodes", "parent", "_children", "_ancestors", "_branches", "_memo")
 
     def __init__(self, width: int, parent: dict[int, int], nodes: Iterable[int]):
         self.width = width
@@ -36,6 +44,7 @@ class AmbientTree:
             anc[x] = frozenset(chain)
         self._ancestors = anc
         self._branches: tuple[tuple[int, ...], ...] | None = None
+        self._memo: dict = {}
 
     def level(self, x: int) -> int:
         return x // self.width
@@ -79,6 +88,21 @@ class AmbientTree:
                             stack.append((c, path + (c,)))
             self._branches = tuple(sorted(out))
         return self._branches
+
+    def memoized(self, key, compute, *args):
+        """compute(*args), remembered under `key` (a hashable value, never an id).
+
+        The memo holds at most MEMO_LIMIT entries and is emptied when full.
+        Callers must treat a remembered value as read-only.
+        """
+        memo = self._memo
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = compute(*args)
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[key] = value
+        return value
 
     def __contains__(self, x: int) -> bool:
         return x in self._ancestors

@@ -17,7 +17,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import fixtures as fx
-from .creature import Creature, SimpleCreature, norm0, normhalf, norms, normstar, validate_creature
+from .creature import (
+    Creature,
+    SimpleCreature,
+    cached_norm0,
+    norm0,
+    normhalf,
+    norms,
+    normstar,
+    validate_creature,
+)
 from .errors import BudgetError, DomainError, PreconditionError, ValidationError
 from .forcing import (
     ConditionFragment,
@@ -191,7 +200,7 @@ def _run_norm_oracle(rng: random.Random) -> SuiteOutcome:
 
 def _glue_instance(rng, tree, params):
     c = _random_valid_creature(rng, tree, params, max_members=3, value_bound=8)
-    if c is None or norm0(c, tree, params, validate=False) < 1:
+    if c is None or cached_norm0(c, tree, params, validate=False) < 1:
         return None
     kstar = rng.randint(2, 3)
     if len(c.valrange) * kstar > params.n1[c.i] - 1:
@@ -252,7 +261,7 @@ def _run_glue(rng: random.Random) -> SuiteOutcome:
     except PreconditionError:
         return SuiteOutcome(True, False, {})
     d = res.creature
-    nd = norm0(d, tree, params, validate=False)
+    nd = cached_norm0(d, tree, params, validate=False)
     info: dict = {"bound": res.bound, "norm0_d": nd}
     if nd < res.bound:
         info["creature"] = fx.creature_to_fixture(Creature(c, 1))
@@ -283,7 +292,7 @@ def _fill_instance(rng: random.Random, tree, params):
     c = _random_valid_creature(rng, tree, params, max_members=3, value_bound=8)
     if c is None:
         return None
-    k = norm0(c, tree, params, validate=False)
+    k = cached_norm0(c, tree, params, validate=False)
     if k < 1:
         return None
     used = set()
@@ -308,14 +317,14 @@ def _fill_instance(rng: random.Random, tree, params):
 
 def _check_fill(c, xs, tree, params):
     """(ok, info) for one fill instance; None when the premise fails late."""
-    k = norm0(c, tree, params, validate=False)
+    k = cached_norm0(c, tree, params, validate=False)
     m = len(xs)
     try:
         res = fill(c, xs, tree, params)
     except PreconditionError:
         return None
     d = res.creature
-    nd = norm0(d, tree, params, validate=False)
+    nd = cached_norm0(d, tree, params, validate=False)
     if nd < k - m:
         return False, {"xs": xs, "norm0_d": nd, "bound": k - m}
     if not all(all(x in nu for x in xs) for nu in d.valrange):
@@ -379,7 +388,7 @@ def _run_rebase(rng: random.Random) -> SuiteOutcome:
         c = diagonal_creature(1, base, sl, members, 5 + rng.randint(0, 4), params, tree)
     except (PreconditionError, ValidationError):
         return SuiteOutcome(True, False, {})
-    n0 = norm0(c, tree, params, validate=False)
+    n0 = cached_norm0(c, tree, params, validate=False)
     if n0 < 2:
         return SuiteOutcome(True, False, {})
     used = {base_node, *sl}
@@ -410,7 +419,7 @@ def _run_rebase(rng: random.Random) -> SuiteOutcome:
     except (PreconditionError, ValidationError):
         return SuiteOutcome(True, False, {})
     d = res.creature
-    nd = norm0(d, tree, params, validate=False)
+    nd = cached_norm0(d, tree, params, validate=False)
     if nd < res.bound:
         return SuiteOutcome(False, True, {"creature": fx.creature_to_fixture(Creature(c, 1)), "norm0_d": nd, "bound": res.bound})
     if normstar(d, params) < normstar(c, params):
@@ -426,7 +435,7 @@ def _run_shrink(rng: random.Random) -> SuiteOutcome:
     c = _random_valid_creature(rng, tree, params)
     if c is None:
         return SuiteOutcome(True, False, {})
-    n0 = norm0(c, tree, params, validate=False)
+    n0 = cached_norm0(c, tree, params, validate=False)
     if n0 < 1 or len(c.valrange) < 2:
         return SuiteOutcome(True, False, {})
     k = rng.randint(1, n0)
@@ -435,7 +444,7 @@ def _run_shrink(rng: random.Random) -> SuiteOutcome:
     except DomainError:
         return SuiteOutcome(True, False, {})
     sub = res.creature
-    if norm0(sub, tree, params, validate=False) != k:
+    if cached_norm0(sub, tree, params, validate=False) != k:
         return SuiteOutcome(False, True, {"creature": fx.creature_to_fixture(Creature(c, 1)), "target": k})
     if not set(sub.valrange) <= set(c.valrange):
         return SuiteOutcome(False, True, {"not_subset": True})
@@ -465,8 +474,8 @@ def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict
         side2 = [m for j, m in enumerate(members) if not mask >> j & 1]
         c1 = SimpleCreature.make(c.i, c.base, side1)
         c2 = SimpleCreature.make(c.i, c.base, side2)
-        n01 = norm0(c1, tree, params, validate=False)
-        n02 = norm0(c2, tree, params, validate=False)
+        n01 = cached_norm0(c1, tree, params, validate=False)
+        n02 = cached_norm0(c2, tree, params, validate=False)
         nh1 = min(n01, normstar(c1, params))
         nh2 = min(n02, normstar(c2, params))
         out["splits"] += 1
@@ -589,7 +598,7 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
         if p.children(nu):
             cq = creature_at(q, eta, params)
             cp_ = creature_at(p, nu, params)
-            if norm0(cq, tree, params, validate=False) > norm0(cp_, tree, params, validate=False):
+            if cached_norm0(cq, tree, params, validate=False) > cached_norm0(cp_, tree, params, validate=False):
                 return SuiteOutcome(False, True, {"norm_monotone": str(eta)})
     info = {"strict_f": int(leq_strict_f(p, q, pr))}
     # transitivity through a restricted cone
@@ -662,8 +671,8 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
         return SuiteOutcome(False, True, {"grade": m})
     pr = leq(p, q, tree, params)
     for eta in q.internal():
-        n_new = norm0(creature_at(q, eta, params), tree, params, validate=False)
-        n_old = norm0(creature_at(p, pr(eta), params), tree, params, validate=False)
+        n_new = cached_norm0(creature_at(q, eta, params), tree, params, validate=False)
+        n_old = cached_norm0(creature_at(p, pr(eta), params), tree, params, validate=False)
         if log2ceil(n_new) < log2ceil(n_old) - 1:
             return SuiteOutcome(False, True, {"norm1_drop": (n_old, n_new)})
     return SuiteOutcome(True, True, {"m": m})
@@ -713,15 +722,56 @@ def _run_purify(rng: random.Random) -> SuiteOutcome:
 # -- suite: decide -----------------------------------------------------------
 
 
-def _decide_oracle(p, label, m, tree, params, shape, cutoff):
-    """Independent exhaustive confirmation that no subfragment decides."""
-    from .homogenize import _valid_subfragments, _subfragment
+# cone choices one node of `_decide_oracle` may combine, as in decide's search
+_ORACLE_LIMIT = 200000
 
-    for keep in _valid_subfragments(p, m + 1, tree, params):
-        q = _subfragment(p, keep)
-        if not validate_condition(q, tree, params).ok:
+
+def _decide_oracle(p, label, m, tree, params, shape, cutoff):
+    """Independent exhaustive confirmation that no subfragment decides.
+
+    Its own enumeration of `decide`'s search space: nodes at levels <= m keep
+    all their children, deeper internal nodes keep any set of children that
+    forms a valid creature (the rest fail clause (iv) anyway).  Every check
+    runs on a copy of the tree, so no memo entry of `decide` is reused.  A
+    node whose choices would pass _ORACLE_LIMIT raises DomainError before
+    they are built.
+    """
+    cold = AmbientTree(tree.width, tree.parent, tree.nodes)
+    cones: dict[SpecFn, list[tuple[SpecFn, ...]]] = {}
+    for lv in reversed(range(p.depth + 1)):
+        for fn in p.level_nodes(lv):
+            kids = p.children(fn)
+            if not kids:
+                cones[fn] = [(fn,)]
+                continue
+            if lv <= m:
+                subsets = [kids]
+            else:
+                subsets = [
+                    sub for r in range(1, len(kids) + 1) for sub in itertools.combinations(kids, r)
+                ]
+            c = creature_at(p, fn, params)
+            valid = [
+                sub
+                for sub in subsets
+                if validate_creature(SimpleCreature.make(c.i, c.base, sub), params, cold).ok
+            ]
+            if sum(math.prod(len(cones[ch]) for ch in sub) for sub in valid) > _ORACLE_LIMIT:
+                raise DomainError("decide oracle exceeded the enumeration limit")
+            cones[fn] = [
+                (fn,) + tuple(itertools.chain.from_iterable(parts))
+                for sub in valid
+                for parts in itertools.product(*(cones[ch] for ch in sub))
+            ]
+    for keep in cones[p.root]:
+        q = ConditionFragment(
+            parent={fn: p.parent[fn] for fn in keep},
+            klabel={fn: p.klabel[fn] for fn in keep},
+            coverage=p.coverage,
+        )
+        if not validate_condition(q, cold, params).ok:
             continue
-        if not leq_n(p, q, m, tree, params, shape):
+        if not leq_n(p, q, m, cold, params, shape):
             continue
         for lv in range(min(cutoff, q.depth) + 1):
             if all(len(_cone_labels(q, fn, label)) == 1 for fn in q.level_nodes(lv)):
@@ -843,11 +893,11 @@ def _run_claim28(rng: random.Random) -> SuiteOutcome:
         return SuiteOutcome(False, True, {"normalize_leq": prn.clause})
     for fn in nq.internal():
         target = min(
-            norm0(creature_at(p, rho, params), tree, params, validate=False)
+            cached_norm0(creature_at(p, rho, params), tree, params, validate=False)
             for rho in p.cone_nodes(prn(fn))
             if p.children(rho)
         )
-        if norm0(creature_at(nq, fn, params), tree, params, validate=False) != target:
+        if cached_norm0(creature_at(nq, fn, params), tree, params, validate=False) != target:
             return SuiteOutcome(False, True, {"normalize_value": str(fn)})
     return SuiteOutcome(True, True, {})
 
@@ -1005,7 +1055,7 @@ def _shrink_failure(suite: str, seed: int, index: int) -> dict | None:
         def fill_fails(cand: SimpleCreature) -> bool:
             if not validate_creature(cand, params, tree).ok:
                 return False
-            if norm0(cand, tree, params, validate=False) < 1:
+            if cached_norm0(cand, tree, params, validate=False) < 1:
                 return False
             checked = _check_fill(cand, xs, tree, params)
             return checked is not None and not checked[0]

@@ -136,3 +136,150 @@ def test_report_subcommand(tmp_path):
     path.write_bytes(rep.stdout)
     out = run_cli("report", "--in", str(path))
     assert b"suite growth: pass" in out.stdout
+
+
+def _assert_clean_failure(proc, code, needle):
+    stderr = proc.stderr.decode()
+    assert proc.returncode == code, stderr
+    assert "Traceback" not in stderr
+    assert needle in stderr.lower(), stderr
+
+
+def test_apply_op_index_past_the_end():
+    proc = run_cli(
+        "apply-op", "--op", "halve", "--in", str(FIXDIR / "creatures.json"), "--index", "5",
+        check=False,
+    )
+    _assert_clean_failure(proc, 1, "index 5")
+
+
+def test_tree_without_edges_names_the_field(tmp_path):
+    path = tmp_path / "no-edges.json"
+    path.write_text(json.dumps({"tree": {"width": 3}}))
+    _assert_clean_failure(run_cli("norm", "--in", str(path), check=False), 1, "'edges'")
+
+
+def test_file_that_is_not_json(tmp_path):
+    path = tmp_path / "not-json.json"
+    path.write_text("creatures: none\n")
+    _assert_clean_failure(run_cli("norm", "--in", str(path), check=False), 1, "not valid json")
+
+
+def test_malformed_budget_is_a_usage_error():
+    import os
+
+    env = dict(os.environ, CREATURE_LAB_BUDGET="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "creature_lab", "propcheck",
+         "--suite", "norm-oracle", "--count", "3", "--seed", "1"],
+        capture_output=True,
+        env=env,
+    )
+    _assert_clean_failure(proc, 64, "creature_lab_budget")
+    assert proc.stdout == b""
+
+
+def test_jobs_zero_is_a_usage_error():
+    proc = run_cli("propcheck", "--suite", "growth", "--count", "3", "--seed", "1", "--jobs", "0",
+                   check=False)
+    _assert_clean_failure(proc, 64, "--jobs")
+
+
+def _fixture_commands():
+    creatures, conditions = str(FIXDIR / "creatures.json"), str(FIXDIR / "conditions.json")
+    cmds = [
+        ["gen-tree", "--width", "4", "--height", "3", "--seed", "7"],
+        ["gen-params", "--growth", "cond2"],
+        ["enum-spec", "--in", creatures, "--nodes", "0", "3", "--bound", "2"],
+        ["norm", "--in", creatures],
+        ["check-condition", "--in", conditions],
+        ["check-leq", "--p", conditions, "--q", conditions],
+        ["purify", "--p", conditions, "--kstar", "0"],
+        ["decide", "--p", conditions, "--m", "0"],
+        ["propcheck", "--suite", "decide", "--count", "4", "--seed", "5"],
+        ["report", "--in", creatures],
+    ]
+    for op in ("glue", "fill", "rebase", "shrink", "split", "halve"):
+        for index in range(5):
+            cmds.append(["apply-op", "--op", op, "--in", creatures, "--index", str(index)])
+    return cmds
+
+
+def test_cli_output_identical_with_warm_and_cold_memo():
+    """Each subcommand twice in one process, then once in a fresh process."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from creature_lab.cli import main\n"
+        "outs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    for _ in range(2):\n"
+        "        buf = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):\n"
+        "            code = main(argv)\n"
+        "        outs.append([code, buf.getvalue()])\n"
+        "json.dump(outs, sys.stdout)\n"
+    )
+    cmds = _fixture_commands()
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(cmds)], capture_output=True, check=True
+    )
+    warm = json.loads(proc.stdout)
+    for j, argv in enumerate(cmds):
+        first, second = warm[2 * j], warm[2 * j + 1]
+        cold = run_cli(*argv, check=False)
+        assert first == second, argv
+        assert first[1].encode() == cold.stdout and first[0] == cold.returncode, argv
+
+
+def _mutations(doc, path=()):
+    """Documents with one field of `doc` deleted or replaced by a wrong type.
+
+    Every object key is mutated; of a list, the first and the last element.
+    """
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+        items = items[:1] + items[1:][-1:]
+    else:
+        return
+    for key, val in items:
+        for bad in ("delete", "x", None, [["x"]]):
+            if bad == "delete" and isinstance(doc, list):
+                continue
+            yield path + (key,), bad
+        yield from _mutations(val, path + (key,))
+
+
+def _apply(doc, path, bad):
+    out = json.loads(json.dumps(doc))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    if bad == "delete":
+        del target[path[-1]]
+    else:
+        target[path[-1]] = bad
+    return out
+
+
+def test_mutated_fixtures_fail_cleanly(tmp_path, capsys):
+    """One broken field of a shipped fixture: exit 0 or 1, never an exception."""
+    from creature_lab.cli import main
+
+    commands = {
+        "creatures.json": [["norm", "--in"], ["apply-op", "--op", "halve", "--in"]],
+        "conditions.json": [["check-condition", "--in"], ["decide", "--m", "0", "--p"]],
+    }
+    tried = 0
+    for name, argvs in commands.items():
+        doc = json.loads((FIXDIR / name).read_text())
+        for path, bad in _mutations(doc):
+            bad_file = tmp_path / name
+            bad_file.write_text(json.dumps(_apply(doc, path, bad)))
+            for argv in argvs:
+                code = main([*argv, str(bad_file)])
+                assert code in (0, 1), (name, path, bad, argv)
+                tried += 1
+    capsys.readouterr()
+    assert tried > 500

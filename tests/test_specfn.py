@@ -80,6 +80,13 @@ def test_union_examples(tree):
     assert notfun.reason == "not a function"
 
 
+
+def test_union_node_outside_tree_is_comparable_to_none(tree):
+    # node 9 is not in the tree; sharing a value with node 0 is no clash here
+    u = union_spec(tree, SpecFn.make({0: 1}), SpecFn.make({9: 1}))
+    assert isinstance(u, SpecFn) and u == SpecFn.make({0: 1, 9: 1})
+    assert not is_spec(tree, u, bound=8)
+
 def test_union_commutative_associative_small(tree):
     pool = [
         EMPTY_FN,

@@ -87,3 +87,20 @@ def test_premise_hit_rate_reported():
     rep = verify.run_suite("rebase", 40, 11)
     assert rep["premise_hits"] > 0
     assert rep["instances"] == 40
+
+
+def test_decide_oracle_stops_at_its_enumeration_limit(monkeypatch):
+    import random
+
+    from creature_lab.generators import depth2_fragment, random_labeling
+    from creature_lab.homogenize import LeafLabeling
+    from creature_lab.params import default_shape
+
+    tree, params = verify._condition_context()
+    p = depth2_fragment(tree, params, branching=(3, 3))
+    label = LeafLabeling(random_labeling(random.Random(1), p, values=2))
+    args = (p, label, 0, tree, params, default_shape(), 1)
+    assert verify._decide_oracle(*args) in (True, False)
+    monkeypatch.setattr(verify, "_ORACLE_LIMIT", 1)
+    with pytest.raises(DomainError, match="enumeration limit"):
+        verify._decide_oracle(*args)
