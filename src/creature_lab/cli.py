@@ -9,7 +9,6 @@ stderr.  Exit codes: 0 ok, 1 domain/check failure, 2 budget exceeded,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import fixtures as fx
@@ -163,9 +162,7 @@ def cmd_apply_op(args) -> int:
         meta["bound"] = res.bound
     elif args.op == "split":
         half = len(c.valrange) // 2 or 1
-        res = bigness_split(
-            cplus, (list(c.valrange[:half]), list(c.valrange[half:])), tree, params, shape
-        )
+        res = bigness_split(cplus, (list(c.valrange[:half]), list(c.valrange[half:])), tree, params)
         result = res.creature if isinstance(res.creature, Creature) else Creature(res.creature, cplus.k)
         meta["side"] = res.side
     elif args.op == "halve":

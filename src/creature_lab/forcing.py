@@ -17,7 +17,6 @@ from .creature import (
     SimpleCreature,
     cached_norm0,
     normhalf,
-    normstar,
     validate_creature,
 )
 from .errors import ConstructionError, DomainError, PreconditionError, ValidationError
@@ -192,7 +191,6 @@ def validate_condition(
     p: ConditionFragment,
     tree: AmbientTree,
     params: GrowthSequences,
-    norm_floor: list[int] | None = None,
 ) -> ConditionReport:
     """Clause-by-clause fragment validation (order clauses live in leq)."""
     checks: list[ConditionCheck] = []
@@ -293,18 +291,6 @@ def validate_condition(
                     break
         checks.append(ConditionCheck("(vi) coverage", ok_cv, wit_cv))
 
-    if norm_floor is not None:
-        ok_nf, wit_nf = True, ""
-        for lv, floor in enumerate(norm_floor):
-            for eta in p.level_nodes(lv):
-                if p.children(eta):
-                    c = creature_at(p, eta, params)
-                    if normhalf(c, tree, params) < floor:
-                        ok_nf, wit_nf = False, f"half-norm below floor {floor} at level {lv}"
-                        break
-            if not ok_nf:
-                break
-        checks.append(ConditionCheck("(vii) norm floor", ok_nf, wit_nf))
     return ConditionReport(checks)
 
 

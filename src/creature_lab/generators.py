@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .creature import SimpleCreature, norm0, validate_creature
+from .creature import SimpleCreature, validate_creature
 from .errors import PreconditionError, ValidationError
 from .forcing import ConditionFragment, Coverage, creature_at, validate_condition
 from .params import GrowthSequences, make_growth

@@ -17,11 +17,8 @@ from .creature import SimpleCreature, cached_norm0, normhalf, validate_creature
 from .errors import ConstructionError, DomainError, PreconditionError, ValidationError
 from .forcing import (
     ConditionFragment,
-    Projection,
-    NotRelated,
     creature_at,
     kind_of,
-    leq,
     leq_n,
     validate_condition,
 )

@@ -294,7 +294,6 @@ def bigness_split(
     parts: tuple[list[SpecFn], list[SpecFn]],
     tree: AmbientTree,
     params: GrowthSequences,
-    shape: NormShape | None = None,
 ) -> SplitResult:
     """Keep the bipartition side with the larger norm0; ties go to side 1.
 

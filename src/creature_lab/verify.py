@@ -1,11 +1,15 @@
 """Seeded property suites with counterexample shrinking.
 
-Each suite draws premise-satisfying instances from its own generator,
-checks the corresponding constructive guarantee, and on failure shrinks the
-instance (removing value-range members, pruning labels) to a locally minimal
-counterexample, which is embedded in the report as a fixture.  Reports are
-pure functions of (suite, count, seed) and identical under any --jobs split:
-instance j is generated from Random(seed * 1_000_003 + j).
+Each suite draws premise-satisfying instances from its own generator and
+checks the corresponding constructive guarantee.  The seven creature suites
+(norm-oracle, glue, fill, rebase, shrink, bigness, halving) split into a
+`draw` of the instance and a `check` of it.  When one of them fails, the
+failing instance is drawn again and its value-range members are dropped one
+at a time for as long as the same check still fails; the locally minimal
+creature is embedded in the report as a fixture.  The other suites report no
+counterexample.  Reports are pure functions of (suite, count, seed) and
+identical under any --jobs split: instance j is generated from
+Random(seed * 1_000_003 + j).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,13 +32,13 @@ from .creature import (
     normstar,
     validate_creature,
 )
-from .errors import BudgetError, DomainError, PreconditionError, ValidationError
+from .errors import BudgetError, ConstructionError, DomainError, PreconditionError, ValidationError
 from .forcing import (
     ConditionFragment,
     NotRelated,
     Projection,
+    classify,
     creature_at,
-    fragments_agree_below,
     fuse,
     kind_of,
     leq,
@@ -45,7 +50,6 @@ from .forcing import (
     validate_condition,
 )
 from .generators import (
-    PROFILES,
     chain_antichain_tree,
     depth2_fragment,
     depth3_fragment,
@@ -65,26 +69,7 @@ from .oracle import oracle_norm0
 from .ops import fill, glue, halve, rebase, shrink_to_norm
 from .params import default_shape, halving_witness, log2ceil, log2ceil_ratio, make_growth
 from .specfn import SpecFn
-from .tree_model import AmbientTree, build_tree
-
-SUITES = [
-    "growth",
-    "normshape",
-    "norm-oracle",
-    "glue",
-    "fill",
-    "rebase",
-    "shrink",
-    "bigness",
-    "halving",
-    "leq",
-    "fusion",
-    "smoothen",
-    "purify",
-    "decide",
-    "fact2.6",
-    "claim2.8",
-]
+from .tree_model import AmbientTree, build_tree, initial_segment
 
 _SEED_STRIDE = 1_000_003
 
@@ -94,6 +79,32 @@ class SuiteOutcome:
     ok: bool
     premise_hit: bool
     info: dict
+
+
+_MISS = SuiteOutcome(True, False, {})
+
+
+def _failed(c: SimpleCreature, info: dict) -> SuiteOutcome:
+    """A premise-hit failure that names the creature it was found on."""
+    return SuiteOutcome(False, True, {**info, "creature": fx.creature_to_fixture(Creature(c, 1))})
+
+
+@dataclass(frozen=True)
+class _CreatureSuite:
+    """A suite whose instance is (tree, params, creature, *rest).
+
+    `draw(rng)` returns the instance, or None on a premise miss.  `check`
+    states the suite's whole verdict on an instance.  The shrinker calls it
+    again on sub-creatures, so it turns a premise that a smaller creature
+    breaks into a miss instead of raising.
+    """
+
+    draw: Callable[[random.Random], tuple | None]
+    check: Callable[..., SuiteOutcome]
+
+    def __call__(self, rng: random.Random) -> SuiteOutcome:
+        inst = self.draw(rng)
+        return _MISS if inst is None else self.check(*inst)
 
 
 def _rng_for(seed: int, index: int) -> random.Random:
@@ -115,8 +126,13 @@ def _condition_context():
     return tree, params
 
 
-def _random_valid_creature(rng, tree, params, max_members=4, value_bound=8):
-    return random_creature(rng, tree, params, i=0, max_members=max_members, value_bound=value_bound)
+def _oracle_disagrees(d: SimpleCreature, nd: int, tree, params) -> bool:
+    """Whether the budgeted oracle contradicts norm0(d) = nd; a run over
+    budget contradicts nothing."""
+    try:
+        return oracle_norm0(d, tree, params, validate=False, budget=2 * 10 ** 6) != nd
+    except BudgetError:
+        return False
 
 
 # -- suite: growth -----------------------------------------------------------
@@ -183,23 +199,26 @@ def _run_normshape(rng: random.Random) -> SuiteOutcome:
 # -- suite: norm-oracle ------------------------------------------------------
 
 
-def _run_norm_oracle(rng: random.Random) -> SuiteOutcome:
+def _draw_norm_oracle(rng: random.Random):
     tree, params = _creature_context()
-    c = _random_valid_creature(rng, tree, params, value_bound=6)
-    if c is None:
-        return SuiteOutcome(True, False, {})
+    c = random_creature(rng, tree, params, value_bound=6)
+    return None if c is None else (tree, params, c)
+
+
+def _check_norm_oracle(tree, params, c) -> SuiteOutcome:
     fast = norm0(c, tree, params, validate=False)
     slow = oracle_norm0(c, tree, params, validate=False)
     if fast != slow:
-        return SuiteOutcome(False, True, {"creature": fx.creature_to_fixture(Creature(c, 1)), "fast": fast, "slow": slow})
+        return _failed(c, {"fast": fast, "slow": slow})
     return SuiteOutcome(True, True, {})
 
 
 # -- suite: glue -------------------------------------------------------------
 
 
-def _glue_instance(rng, tree, params):
-    c = _random_valid_creature(rng, tree, params, max_members=3, value_bound=8)
+def _draw_glue(rng: random.Random):
+    tree, params = _creature_context()
+    c = random_creature(rng, tree, params, max_members=3, value_bound=8)
     if c is None or cached_norm0(c, tree, params, validate=False) < 1:
         return None
     kstar = rng.randint(2, 3)
@@ -230,47 +249,30 @@ def _glue_instance(rng, tree, params):
             pool.remove(cand)
             flat.append(cand)
             picks.append([cand])
-        exts = {}
-        ok = True
         for k in range(kstar):
             m = eta.as_dict()
             for x in picks[k]:
                 banned = {v for y, v in m.items() if tree.comparable(x, y)}
                 options = [v for v in range(params.n3[c.i]) if v not in banned]
                 if not options:
-                    ok = False
-                    break
+                    return None
                 m[x] = options[rng.randrange(len(options))]
-            if not ok:
-                break
-            exts[(eta, k)] = SpecFn.make(m, bound=params.n3[c.i])
-        if not ok:
-            return None
-        extensions.update(exts)
-    return c, extensions, kstar
+            extensions[(eta, k)] = SpecFn.make(m, bound=params.n3[c.i])
+    return tree, params, c, extensions, kstar
 
 
-def _run_glue(rng: random.Random) -> SuiteOutcome:
-    tree, params = _creature_context()
-    inst = _glue_instance(rng, tree, params)
-    if inst is None:
-        return SuiteOutcome(True, False, {})
-    c, extensions, kstar = inst
+def _check_glue(tree, params, c, extensions, kstar) -> SuiteOutcome:
     try:
         res = glue(c, extensions, kstar, tree, params)
     except PreconditionError:
-        return SuiteOutcome(True, False, {})
+        return _MISS
     d = res.creature
     nd = cached_norm0(d, tree, params, validate=False)
     info: dict = {"bound": res.bound, "norm0_d": nd}
     if nd < res.bound:
-        info["creature"] = fx.creature_to_fixture(Creature(c, 1))
-        return SuiteOutcome(False, True, info)
-    try:
-        if oracle_norm0(d, tree, params, validate=False, budget=2 * 10 ** 6) != nd:
-            return SuiteOutcome(False, True, {"oracle_mismatch": True})
-    except BudgetError:
-        pass
+        return _failed(c, info)
+    if _oracle_disagrees(d, nd, tree, params):
+        return SuiteOutcome(False, True, {"oracle_mismatch": True})
     ns_c, ns_d = normstar(c, params), normstar(d, params)
     if ns_d < ns_c - log2ceil(kstar):
         return SuiteOutcome(False, True, {"normstar": (ns_c, ns_d, kstar)})
@@ -288,8 +290,9 @@ def _run_glue(rng: random.Random) -> SuiteOutcome:
 # -- suite: fill -------------------------------------------------------------
 
 
-def _fill_instance(rng: random.Random, tree, params):
-    c = _random_valid_creature(rng, tree, params, max_members=3, value_bound=8)
+def _draw_fill(rng: random.Random):
+    tree, params = _creature_context()
+    c = random_creature(rng, tree, params, max_members=3, value_bound=8)
     if c is None:
         return None
     k = cached_norm0(c, tree, params, validate=False)
@@ -311,69 +314,33 @@ def _fill_instance(rng: random.Random, tree, params):
     m = rng.randint(1, mmax)
     if len(c.valrange) * math.comb(k, m) > params.n1[c.i]:
         return None
-    xs = rng.sample(free, m)
-    return c, xs
+    return tree, params, c, rng.sample(free, m)
 
 
-def _check_fill(c, xs, tree, params):
-    """(ok, info) for one fill instance; None when the premise fails late."""
+def _check_fill(tree, params, c, xs) -> SuiteOutcome:
     k = cached_norm0(c, tree, params, validate=False)
     m = len(xs)
     try:
         res = fill(c, xs, tree, params)
     except PreconditionError:
-        return None
+        return _MISS
     d = res.creature
     nd = cached_norm0(d, tree, params, validate=False)
     if nd < k - m:
-        return False, {"xs": xs, "norm0_d": nd, "bound": k - m}
+        return _failed(c, {"xs": xs, "norm0_d": nd, "bound": k - m})
     if not all(all(x in nu for x in xs) for nu in d.valrange):
-        return False, {"coverage": xs}
+        return _failed(c, {"coverage": xs})
     if normstar(d, params) < normstar(c, params) - log2ceil(math.comb(k, m)):
-        return False, {"normstar": (normstar(c, params), normstar(d, params))}
-    try:
-        if oracle_norm0(d, tree, params, validate=False, budget=2 * 10 ** 6) != nd:
-            return False, {"oracle_mismatch": True}
-    except BudgetError:
-        pass
-    return True, {"k": k, "m": m}
-
-
-def _run_fill(rng: random.Random) -> SuiteOutcome:
-    tree, params = _creature_context()
-    inst = _fill_instance(rng, tree, params)
-    if inst is None:
-        return SuiteOutcome(True, False, {})
-    c, xs = inst
-    checked = _check_fill(c, xs, tree, params)
-    if checked is None:
-        return SuiteOutcome(True, False, {})
-    ok, info = checked
-    if not ok:
-        info["creature"] = fx.creature_to_fixture(Creature(c, 1))
-        return SuiteOutcome(False, True, info)
-    return SuiteOutcome(True, True, info)
+        return _failed(c, {"normstar": (normstar(c, params), normstar(d, params))})
+    if _oracle_disagrees(d, nd, tree, params):
+        return _failed(c, {"oracle_mismatch": True})
+    return SuiteOutcome(True, True, {"k": k, "m": m})
 
 
 # -- suite: rebase -----------------------------------------------------------
 
 
-def _diagonal_over_context(rng, tree, params, members: int, slice_size: int = 2):
-    """A diagonal creature over an antichain slice of the context tree."""
-    antichains = [[3, 4], [3, 5], [4, 5], [6, 7], [6, 8], [7, 8], [3, 4, 5], [6, 7, 8]]
-    slices = [s for s in antichains if len(s) <= slice_size and all(x in tree for x in s)]
-    if not slices:
-        return None
-    sl = slices[rng.randrange(len(slices))]
-    if members >= params.n1[0]:
-        return None
-    try:
-        return diagonal_creature(0, SpecFn.make({}), sl, members, rng.randint(0, 3), params, tree)
-    except (PreconditionError, ValidationError):
-        return None
-
-
-def _run_rebase(rng: random.Random) -> SuiteOutcome:
+def _draw_rebase(rng: random.Random):
     # rebasing preserves the kind, so only creatures with nonempty-base kinds
     # can grow their base; the suite works at kind 1
     tree = chain_antichain_tree()
@@ -387,14 +354,13 @@ def _run_rebase(rng: random.Random) -> SuiteOutcome:
     try:
         c = diagonal_creature(1, base, sl, members, 5 + rng.randint(0, 4), params, tree)
     except (PreconditionError, ValidationError):
-        return SuiteOutcome(True, False, {})
+        return None
     n0 = cached_norm0(c, tree, params, validate=False)
     if n0 < 2:
-        return SuiteOutcome(True, False, {})
+        return None
     used = {base_node, *sl}
     news = [x for x in tree.nodes if x not in used]
     rng.shuffle(news)
-    etastar = None
     for x in news:
         ys = sum(1 for y in sl if tree.less(x, y))
         if ys + 1 >= n0:
@@ -410,18 +376,20 @@ def _run_rebase(rng: random.Random) -> SuiteOutcome:
             continue
         star_map = base.as_dict()
         star_map[x] = options[rng.randrange(len(options))]
-        etastar = SpecFn.make(star_map, bound=params.n3[c.i])
-        break
-    if etastar is None:
-        return SuiteOutcome(True, False, {})
+        return tree, params, c, SpecFn.make(star_map, bound=params.n3[c.i])
+    return None
+
+
+def _check_rebase(tree, params, c, etastar) -> SuiteOutcome:
+    # rebase's own premise l1 + l2 < norm0 (with l2 = 1) keeps norm0 >= 2
     try:
         res = rebase(c, etastar, tree, params)
     except (PreconditionError, ValidationError):
-        return SuiteOutcome(True, False, {})
+        return _MISS
     d = res.creature
     nd = cached_norm0(d, tree, params, validate=False)
     if nd < res.bound:
-        return SuiteOutcome(False, True, {"creature": fx.creature_to_fixture(Creature(c, 1)), "norm0_d": nd, "bound": res.bound})
+        return _failed(c, {"norm0_d": nd, "bound": res.bound})
     if normstar(d, params) < normstar(c, params):
         return SuiteOutcome(False, True, {"normstar_drop": True})
     return SuiteOutcome(True, True, {"l1": res.trace["l1"], "l2": res.trace["l2"]})
@@ -430,22 +398,28 @@ def _run_rebase(rng: random.Random) -> SuiteOutcome:
 # -- suite: shrink -----------------------------------------------------------
 
 
-def _run_shrink(rng: random.Random) -> SuiteOutcome:
+def _draw_shrink(rng: random.Random):
     tree, params = _creature_context()
-    c = _random_valid_creature(rng, tree, params)
+    c = random_creature(rng, tree, params, value_bound=8)
     if c is None:
-        return SuiteOutcome(True, False, {})
+        return None
     n0 = cached_norm0(c, tree, params, validate=False)
     if n0 < 1 or len(c.valrange) < 2:
-        return SuiteOutcome(True, False, {})
-    k = rng.randint(1, n0)
+        return None
+    return tree, params, c, rng.randint(1, n0)
+
+
+def _check_shrink(tree, params, c, k) -> SuiteOutcome:
+    if len(c.valrange) < 2:
+        return _MISS
     try:
         res = shrink_to_norm(c, k, tree, params)
-    except DomainError:
-        return SuiteOutcome(True, False, {})
+    except (PreconditionError, DomainError):
+        # PreconditionError: a smaller creature's norm0 fell below the target
+        return _MISS
     sub = res.creature
     if cached_norm0(sub, tree, params, validate=False) != k:
-        return SuiteOutcome(False, True, {"creature": fx.creature_to_fixture(Creature(c, 1)), "target": k})
+        return _failed(c, {"target": k})
     if not set(sub.valrange) <= set(c.valrange):
         return SuiteOutcome(False, True, {"not_subset": True})
     return SuiteOutcome(True, True, {})
@@ -461,8 +435,6 @@ def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict
     rec = norms(Creature(c, 1), tree, params, shape, validate=False)
     out = {"norm1_ceil": 0, "norm2_ceil": 0, "norm1_floor": 0, "norm": 0, "splits": 0}
     members = c.valrange
-    if len(members) < 2:
-        return out
     n0_all = rec.norm0
     nh_all = rec.normhalf
 
@@ -496,18 +468,19 @@ def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict
     return out
 
 
-def _run_bigness(rng: random.Random) -> SuiteOutcome:
+def _draw_bigness(rng: random.Random):
     tree, params = _creature_context()
-    c = _random_valid_creature(rng, tree, params, max_members=5, value_bound=8)
-    if c is None or len(c.valrange) < 2:
-        return SuiteOutcome(True, False, {})
+    c = random_creature(rng, tree, params, max_members=5, value_bound=8)
+    return None if c is None else (tree, params, c)
+
+
+def _check_bigness(tree, params, c) -> SuiteOutcome:
+    if len(c.valrange) < 2:
+        return _MISS
     v = _bigness_violations(c, tree, params)
-    bad = v["norm1_ceil"] + v["norm2_ceil"] + v["norm"]
-    info = dict(v)
-    if bad:
-        info["creature"] = fx.creature_to_fixture(Creature(c, 1))
-        return SuiteOutcome(False, True, info)
-    return SuiteOutcome(True, True, info)
+    if v["norm1_ceil"] + v["norm2_ceil"] + v["norm"]:
+        return _failed(c, v)
+    return SuiteOutcome(True, True, v)
 
 
 # -- suite: halving ----------------------------------------------------------
@@ -520,23 +493,26 @@ def _halving_context():
     return tree, params
 
 
-def _run_halving(rng: random.Random) -> SuiteOutcome:
+def _draw_halving(rng: random.Random):
     tree, params = _halving_context()
-    shape = default_shape()
     slice_ = rng.choice([[3], [4], [3, 4], [6, 7]])
     members = rng.randint(4, 12)
     try:
         c = diagonal_creature(0, SpecFn.make({}), slice_, members, rng.randint(0, 9), params, tree)
     except (PreconditionError, ValidationError):
-        return SuiteOutcome(True, False, {})
+        return None
     nh = normhalf(c, tree, params)
     if nh < 3:
-        return SuiteOutcome(True, False, {})
-    k = rng.randint(1, nh // 2)
+        return None
+    return tree, params, c, rng.randint(1, nh // 2)
+
+
+def _check_halving(tree, params, c, k) -> SuiteOutcome:
+    shape = default_shape()
+    nh = normhalf(c, tree, params)
     if not shape.norm_geq(nh, k, 1) or nh - k < 2:
-        return SuiteOutcome(True, False, {})
-    cp = Creature(c, k)
-    res = halve(cp, shape, tree, params)
+        return _MISS
+    res = halve(Creature(c, k), shape, tree, params)
     info = {"repaired": int(res.repaired), "kprime": res.kprime}
     if res.creature.simple != c:
         return SuiteOutcome(False, True, {"simple_changed": True})
@@ -583,7 +559,7 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
     tree, params = _condition_context()
     pair = _leq_pair(rng, tree, params)
     if pair is None:
-        return SuiteOutcome(True, False, {})
+        return _MISS
     p, q = pair
     pr = leq(p, q, tree, params)
     if isinstance(pr, NotRelated):
@@ -605,7 +581,7 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
     eta = rng.choice(list(q.level_nodes(min(1, q.depth))))
     try:
         r = restrict(q, eta)
-    except Exception:
+    except (DomainError, ConstructionError):
         return SuiteOutcome(True, True, info)
     pr2 = leq(q, r, tree, params)
     if isinstance(pr2, Projection):
@@ -656,14 +632,12 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
     try:
         p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 4), hold_out=hold)
     except (PreconditionError, ValidationError):
-        return SuiteOutcome(True, False, {})
+        return _MISS
     m = rng.randint(0, 1)
     try:
         q = smoothen(p, 2, m, tree, params, shape)
     except PreconditionError:
-        return SuiteOutcome(True, False, {})
-    from .forcing import classify
-
+        return _MISS
     cls = classify(q, tree, params, shape)
     if not cls.smooth or cls.alpha != 2:
         return SuiteOutcome(False, True, {"smooth": cls.smooth, "alpha": cls.alpha})
@@ -690,7 +664,7 @@ def _run_purify(rng: random.Random) -> SuiteOutcome:
     try:
         res = purify(p, xset, kstar, tree, params, shape)
     except PreconditionError:
-        return SuiteOutcome(True, False, {})
+        return _MISS
     q = res.fragment
     if not leq_n(p, q, kstar, tree, params, shape):
         return SuiteOutcome(False, True, {"grade": kstar})
@@ -824,21 +798,19 @@ def _run_fact26(rng: random.Random) -> SuiteOutcome:
     try:
         p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 4))
     except (PreconditionError, ValidationError):
-        return SuiteOutcome(True, False, {})
+        return _MISS
     # weakly smooth: coverage k = 0 (u empty here, the strongest case)
     free = [x for x in tree.nodes if all(x not in fn for fn in p.fns)]
     if not free:
-        return SuiteOutcome(True, False, {})
+        return _MISS
     x = rng.choice(free)
     try:
         q = extend_fragment(p, tree, params, x, rng.randrange(20), from_level=2)
     except (PreconditionError, ValidationError):
-        return SuiteOutcome(True, False, {})
+        return _MISS
     pr = leq(p, q, tree, params)
     if isinstance(pr, NotRelated):
         return SuiteOutcome(False, True, {"leq": pr.clause})
-    from .tree_model import initial_segment
-
     seg = initial_segment(tree, p.coverage.alpha) | p.coverage.u
     for nu in q.fns:
         if nu.domset() & seg != pr(nu).domset():
@@ -936,13 +908,13 @@ def _count_projections(p, q, tree, params) -> int:
 _RUNNERS = {
     "growth": _run_growth,
     "normshape": _run_normshape,
-    "norm-oracle": _run_norm_oracle,
-    "glue": _run_glue,
-    "fill": _run_fill,
-    "rebase": _run_rebase,
-    "shrink": _run_shrink,
-    "bigness": _run_bigness,
-    "halving": _run_halving,
+    "norm-oracle": _CreatureSuite(_draw_norm_oracle, _check_norm_oracle),
+    "glue": _CreatureSuite(_draw_glue, _check_glue),
+    "fill": _CreatureSuite(_draw_fill, _check_fill),
+    "rebase": _CreatureSuite(_draw_rebase, _check_rebase),
+    "shrink": _CreatureSuite(_draw_shrink, _check_shrink),
+    "bigness": _CreatureSuite(_draw_bigness, _check_bigness),
+    "halving": _CreatureSuite(_draw_halving, _check_halving),
     "leq": _run_leq,
     "fusion": _run_fusion,
     "smoothen": _run_smoothen,
@@ -952,22 +924,36 @@ _RUNNERS = {
     "claim2.8": _run_claim28,
 }
 
+SUITES = list(_RUNNERS)
+
+
+def _evaluate(run: Callable[..., SuiteOutcome], *args) -> dict:
+    """Status and info of run(*args).
+
+    An exception makes a failure whose info holds the error; one the suites
+    do not expect is also counted as a crash, so that it names its instance
+    instead of aborting the report.
+    """
+    try:
+        out = run(*args)
+    except BudgetError as e:
+        return {"status": "budget", "info": {"error": str(e)}}
+    except (PreconditionError, ValidationError, DomainError) as e:
+        return {"status": "fail", "info": {"error": str(e)}}
+    except Exception as e:
+        return {"status": "fail", "info": {"error": f"{type(e).__name__}: {e}", "crash": 1}}
+    if not out.premise_hit:
+        return {"status": "miss", "info": out.info}
+    return {"status": "pass" if out.ok else "fail", "info": out.info}
+
+
+def _returned_failure(result: dict) -> bool:
+    """A failure that a check returned, as opposed to one an exception made."""
+    return result["status"] == "fail" and "error" not in result["info"]
+
 
 def _run_one(suite: str, seed: int, index: int) -> dict:
-    rng = _rng_for(seed, index)
-    try:
-        out = _RUNNERS[suite](rng)
-    except BudgetError as e:
-        return {"index": index, "status": "budget", "info": {"error": str(e)}}
-    except (PreconditionError, ValidationError, DomainError) as e:
-        return {"index": index, "status": "fail", "info": {"error": str(e)}}
-    if not out.premise_hit:
-        return {"index": index, "status": "miss", "info": out.info}
-    return {
-        "index": index,
-        "status": "pass" if out.ok else "fail",
-        "info": out.info,
-    }
+    return {"index": index, **_evaluate(_RUNNERS[suite], _rng_for(seed, index))}
 
 
 def _run_range(args: tuple[str, int, int, int]) -> list[dict]:
@@ -994,9 +980,8 @@ def run_suite(suite: str, count: int, seed: int, jobs: int = 1) -> dict:
     failures = [r for r in results if r["status"] == "fail"]
     budget = [r for r in results if r["status"] == "budget"]
     misses = sum(1 for r in results if r["status"] == "miss")
-    shrunk = None
-    if failures:
-        shrunk = _shrink_failure(suite, seed, failures[0]["index"])
+    returned = [r for r in failures if _returned_failure(r)]
+    shrunk = _shrink_failure(suite, seed, returned[0]["index"]) if returned else None
     agg: dict = {}
     for r in results:
         for key, val in r["info"].items():
@@ -1018,89 +1003,24 @@ def run_suite(suite: str, count: int, seed: int, jobs: int = 1) -> dict:
 
 
 def _shrink_failure(suite: str, seed: int, index: int) -> dict | None:
-    """Shrink a failing creature-suite instance by dropping members/labels."""
-    rng = _rng_for(seed, index)
-    if suite == "bigness":
-        tree, params = _creature_context()
-        c = _random_valid_creature(rng, tree, params, max_members=5, value_bound=8)
-        if c is None:
-            return None
-        current = c
+    """Greedily drop value-range members of a failing creature instance.
 
-        def fails(cand: SimpleCreature) -> bool:
-            if len(cand.valrange) < 2 or not validate_creature(cand, params, tree).ok:
-                return False
-            v = _bigness_violations(cand, tree, params)
-            return v["norm1_ceil"] + v["norm2_ceil"] + v["norm"] > 0
-
-        progress = True
-        while progress:
-            progress = False
-            for eta in current.valrange:
-                cand = SimpleCreature.make(
-                    current.i, current.base, [f for f in current.valrange if f != eta]
-                )
-                if fails(cand):
-                    current = cand
-                    progress = True
-                    break
-        return fx.creature_to_fixture(Creature(current, 1))
-    if suite == "fill":
-        tree, params = _creature_context()
-        inst = _fill_instance(rng, tree, params)
-        if inst is None:
-            return None
-        c, xs = inst
-
-        def fill_fails(cand: SimpleCreature) -> bool:
-            if not validate_creature(cand, params, tree).ok:
-                return False
-            if cached_norm0(cand, tree, params, validate=False) < 1:
-                return False
-            checked = _check_fill(cand, xs, tree, params)
-            return checked is not None and not checked[0]
-
-        current = c
-        progress = True
-        while progress:
-            progress = False
-            for eta in current.valrange:
-                if len(current.valrange) < 2:
-                    break
-                cand = SimpleCreature.make(
-                    current.i, current.base, [f for f in current.valrange if f != eta]
-                )
-                if fill_fails(cand):
-                    current = cand
-                    progress = True
-                    break
-        return fx.creature_to_fixture(Creature(current, 1))
-    if suite == "norm-oracle":
-        tree, params = _creature_context()
-        c = _random_valid_creature(rng, tree, params, value_bound=6)
-        if c is None:
-            return None
-        current = c
-
-        def mismatch(cand):
-            if not validate_creature(cand, params, tree).ok:
-                return False
-            return norm0(cand, tree, params, validate=False) != oracle_norm0(
-                cand, tree, params, validate=False
-            )
-
-        progress = True
-        while progress:
-            progress = False
-            for eta in current.valrange:
-                if len(current.valrange) < 2:
-                    break
-                cand = SimpleCreature.make(
-                    current.i, current.base, [f for f in current.valrange if f != eta]
-                )
-                if mismatch(cand):
-                    current = cand
-                    progress = True
-                    break
-        return fx.creature_to_fixture(Creature(current, 1))
-    return None
+    The instance is drawn again.  Each round removes the first member, in
+    value-range order, whose removal leaves a valid creature that the suite's
+    check still returns as a premise-hit failure; shrinking stops when no
+    single removal does.  Suites without a creature instance give None.
+    """
+    runner = _RUNNERS[suite]
+    if not isinstance(runner, _CreatureSuite):
+        return None
+    tree, params, current, *rest = runner.draw(_rng_for(seed, index))
+    while True:
+        for eta in current.valrange:
+            cand = SimpleCreature.make(current.i, current.base, [f for f in current.valrange if f != eta])
+            if validate_creature(cand, params, tree).ok and _returned_failure(
+                _evaluate(runner.check, tree, params, cand, *rest)
+            ):
+                current = cand
+                break
+        else:
+            return fx.creature_to_fixture(Creature(current, 1))

@@ -1,7 +1,13 @@
+import hashlib
+
 import pytest
 
+from creature_lab import fixtures as fx
 from creature_lab import verify
-from creature_lab.errors import DomainError
+from creature_lab.creature import SimpleCreature, validate_creature
+from creature_lab.errors import DomainError, PreconditionError, ValidationError
+from creature_lab.ops import HalveResult, OpResult
+from creature_lab.specfn import SpecFn
 
 
 def test_unknown_suite():
@@ -41,46 +47,128 @@ def test_bigness_suite_reports_known_defect():
     assert len(rep["minimal_counterexample"]["valrange"]) <= 5
 
 
-def test_shrinking_preserves_failure():
-    from creature_lab import fixtures as fx
-    from creature_lab.verify import _bigness_violations, _creature_context
-
-    rep = verify.run_suite("bigness", 60, 11)
-    cx = rep["minimal_counterexample"]
-    tree, params = _creature_context()
-    shrunk = fx.creature_from_fixture(cx).simple
-    v = _bigness_violations(shrunk, tree, params)
-    assert v["norm1_ceil"] + v["norm2_ceil"] + v["norm"] > 0
-
-
-def test_fault_injection_breaks_fill(monkeypatch):
-    # skipping the forbidden-value avoidance must be caught by the suite
-    import creature_lab.ops as ops_mod
-    import creature_lab.verify as verify_mod
-    from creature_lab.ops import OpResult
-    from creature_lab.creature import SimpleCreature
-    from creature_lab.specfn import SpecFn
-
-    real_fill = ops_mod.fill
-
-    def broken_fill(c, xs, tree, params):
+def _fill_with_forbidden_values(real_fill):
+    # skipping the forbidden-value avoidance: every new point gets value 0
+    def fill(c, xs, tree, params):
         res = real_fill(c, xs, tree, params)
-        # sabotage: overwrite every new point with a constant forbidden value
         bad = []
         for nu in res.creature.valrange:
             m = nu.as_dict()
             for x in xs:
                 m[x] = 0
             bad.append(SpecFn.make(m, bound=params.n3[c.i]))
-        broken = SimpleCreature.make(c.i, c.base, bad)
-        return OpResult(creature=broken, bound=res.bound, trace=res.trace)
+        return OpResult(SimpleCreature.make(c.i, c.base, bad), res.bound, res.trace)
 
-    monkeypatch.setattr(verify_mod, "fill", broken_fill)
-    rep = verify_mod.run_suite("fill", 40, 11)
+    return fill
+
+
+def _overstating(real_op, extra):
+    # the operation promises `extra` more than its construction guarantees
+    def op(*args):
+        res = real_op(*args)
+        return OpResult(res.creature, res.bound + extra, res.trace)
+
+    return op
+
+
+# suite -> (name the suite's check calls, defect planted on the real function)
+_PLANTED = {
+    "norm-oracle": ("norm0", lambda real: lambda c, *a, **kw: real(c, *a, **kw) + (len(c.valrange) >= 2)),
+    "glue": ("glue", lambda real: _overstating(real, 1)),
+    "fill": ("fill", _fill_with_forbidden_values),
+    "rebase": ("rebase", lambda real: _overstating(real, 2)),
+    "shrink": ("shrink_to_norm", lambda real: lambda c, k, tree, params: OpResult(c, k, {})),
+    # the ceiling-log 2-bigness defect is real: nothing needs planting
+    "bigness": None,
+    "halving": ("halve", lambda real: lambda cplus, shape, tree, params: HalveResult(cplus, False, cplus.k, cplus.k)),
+}
+
+
+def _fails(check, tree, params, c, rest) -> bool:
+    """A valid creature on which the suite's check returns a premise-hit failure."""
+    if not validate_creature(c, params, tree).ok:
+        return False
+    try:
+        out = check(tree, params, c, *rest)
+    except (PreconditionError, ValidationError, DomainError):
+        return False
+    return out.premise_hit and not out.ok
+
+
+@pytest.mark.parametrize("suite", list(_PLANTED))
+def test_planted_defect_is_shrunk(monkeypatch, suite):
+    if _PLANTED[suite] is not None:
+        name, plant = _PLANTED[suite]
+        monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    rep = verify.run_suite(suite, 60, 11)
     assert rep["status"] == "fail"
-    # the report carries a minimized failing creature
     assert rep["minimal_counterexample"] is not None
-    assert len(rep["minimal_counterexample"]["valrange"]) <= 3
+    runner = verify._RUNNERS[suite]
+    tree, params, _, *rest = runner.draw(verify._rng_for(11, rep["first_failure"]["index"]))
+    shrunk = fx.creature_from_fixture(rep["minimal_counterexample"]).simple
+    assert _fails(runner.check, tree, params, shrunk, rest)
+    # locally minimal: no single member can go
+    for eta in shrunk.valrange:
+        smaller = SimpleCreature.make(shrunk.i, shrunk.base, [f for f in shrunk.valrange if f != eta])
+        assert not _fails(runner.check, tree, params, smaller, rest)
+
+
+def test_crash_is_reported_with_its_index(monkeypatch):
+    suite, count, seed = "shrink", 12, 5
+    runner = verify._RUNNERS[suite]
+    before = verify._run_range((suite, seed, 0, count))
+    index = next(r["index"] for r in before if r["status"] == "pass")
+    planted = runner.draw(verify._rng_for(seed, index))[2:]
+
+    def check(tree, params, *inst):
+        if inst == planted:
+            raise KeyError("planted")
+        return runner.check(tree, params, *inst)
+
+    monkeypatch.setitem(verify._RUNNERS, suite, verify._CreatureSuite(runner.draw, check))
+    rep = verify.run_suite(suite, count, seed)
+    assert rep["failures"] == 1
+    assert rep["first_failure"] == {
+        "index": index,
+        "status": "fail",
+        "info": {"error": "KeyError: 'planted'", "crash": 1},
+    }
+    assert rep["stats"]["crash"] == 1
+    # only a failure that a check returned is shrunk
+    assert rep["minimal_counterexample"] is None
+    after = verify._run_range((suite, seed, 0, count))
+    assert [r for r in after if r["index"] != index] == [r for r in before if r["index"] != index]
+
+
+# sha256 of each canonical report, computed before the creature suites were
+# split into draw and check; a change to any report has to update them
+_GOLDEN = {
+    ("growth", 20, 5): "8f9b5697de3fd4006a8d6cce0be24ef14e74994d0fd4bfdd51302be676100400",
+    ("normshape", 20, 5): "5cd3f343320ae709d4e6357b7d0a3bc3533f7015a13b4029d969db11da719ded",
+    ("norm-oracle", 20, 5): "322f41b442658cfab330001976d20e891ea896c25e7a4d90fc801ce159f588ce",
+    ("glue", 20, 5): "11eaf716b503fc46d226cbf505cad3421acb721167fc2be854ab55acf5b3e01f",
+    ("fill", 20, 5): "a32a8f90e0c5b021bfadc58cd9a1e0e2aa78eaa4a919f57666abdfb704148b84",
+    ("rebase", 20, 5): "8d68a480c2fe2892bbfbcc25cca061d56df2fecb33dfe69b40486ef732eef19c",
+    ("shrink", 20, 5): "5e133120a6fa6d5b1158a32a0a9553002ae986e1786b7471efe77f6f6c6bed1f",
+    ("bigness", 20, 5): "227ea65a82100ac555603bbe2141c0e77073c550870efdfc55d1e0e018c99198",
+    ("halving", 20, 5): "9de8ed0fdc33804a8a1a52c848c5e717d046640f00948f40edbe715d181f99f0",
+    ("leq", 20, 5): "53360ac398b18c39f53fae6c2c0e8ba78330a94ae29af9015b622aec25ed9ed0",
+    ("fusion", 20, 5): "2be2bcbcc1d5d6ee2dc162e59f352c3bd5b8434bc5e2d57c7d4b95aa5e3dafd2",
+    ("smoothen", 20, 5): "dfe1dd8288cc352697f8e924f8810509a8d950fc128feed7c13494c25471977b",
+    ("purify", 20, 5): "a51bf7d882a3c0f9cf2c8d7e1b33192e7447ebd5685d5135a35bcbba624ecbbe",
+    ("decide", 20, 5): "0fb5d660e3f0bd35f067639c6e0fc9d911ae2fde944097b4d3d16c8801131ea0",
+    ("fact2.6", 20, 5): "15a98da17089f85258267c587ff71429e91648e3b9c77334dd76bf3be93df372",
+    ("claim2.8", 20, 5): "5638e901226cea7e014317cc83e41753aef1734a677e45675acba5a0dd379abc",
+    ("bigness", 60, 11): "9d03120a4a703380d37ba8193d827489399c8a74d484cd4372abb3aeae75f509",
+}
+
+
+def test_reports_match_golden_digests():
+    got = {
+        key: hashlib.sha256(fx.canonical_dumps(verify.run_suite(*key)).encode()).hexdigest()
+        for key in _GOLDEN
+    }
+    assert got == _GOLDEN
 
 
 def test_premise_hit_rate_reported():
