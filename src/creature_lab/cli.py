@@ -54,6 +54,16 @@ def _entry(doc: dict, key: str, index: int) -> dict:
     return items[index]
 
 
+def _condition(doc: dict, tree, params):
+    """The document's first fragment, which must be a condition."""
+    p = fx.condition_from_fixture(_entry(doc, "conditions", 0))
+    rep = validate_condition(p, tree, params)
+    if not rep.ok:
+        f = rep.failures()[0]
+        raise ValidationError(f"conditions[0] is not a condition: {f.clause}: {f.witness}")
+    return p
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -223,7 +233,7 @@ def cmd_purify(args) -> int:
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
     shape = default_shape()
-    p = fx.condition_from_fixture(_entry(doc, "conditions", 0))
+    p = _condition(doc, tree, params)
     order = list(p.fns)
     bad = [j for j in args.x if not 0 <= j < len(order)]
     if bad:
@@ -251,7 +261,7 @@ def cmd_decide(args) -> int:
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
     shape = default_shape()
-    p = fx.condition_from_fixture(_entry(doc, "conditions", 0))
+    p = _condition(doc, tree, params)
     ldoc = fx.load_document(args.label) if args.label else doc
     if not ldoc["labelings"]:
         raise DomainError("no labeling in the fixture")

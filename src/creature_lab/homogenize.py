@@ -4,8 +4,11 @@ purify restricts a fragment against an upward-closed node set so that every
 cone over a kept front is eventually inside the set or disjoint from it,
 losing at most one unit of norm2 and norm per changed creature.  decide
 searches for a graded strengthening with a level whose cones are constant
-under a leaf labeling, falling back to exhaustive subfragment enumeration
-with a completeness certificate.
+under a leaf labeling in three stages: the fragment itself, a greedy
+assembly of label-uniform subcones per level, and an exhaustive subfragment
+enumeration whose completion certifies not-found.  decide does not purify:
+against the set of constant-cone nodes, which holds every leaf, purify keeps
+the whole fragment, so it could only repeat the first stage.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .creature import SimpleCreature, cached_norm0, normhalf, validate_creature
-from .errors import ConstructionError, DomainError, PreconditionError, ValidationError
+from .errors import DomainError, PreconditionError, ValidationError
 from .forcing import (
     ConditionFragment,
     creature_at,
@@ -345,14 +348,22 @@ def decide(
 
     In a finite truncation the leaf level decides trivially (one branch per
     leaf), so max_level is the real content of the search; it defaults to the
-    leaf level, matching the unbounded conclusion's shape.  Pipeline: trivial
-    constancy, purification against the upward-closed set of already-constant
-    nodes (on the fragment and on its counter-halved variant), greedy
-    uniform-subcone assembly per level, then exhaustive subfragment search;
+    leaf level, matching the unbounded conclusion's shape.  Three stages, in
+    order: p itself (trivial constancy), greedy uniform-subcone assembly per
+    level, then exhaustive subfragment search.  Every candidate but p must be
+    a condition with p <=_m q; the first with a constant level answers, and
     not-found carries the certificate that the exhaustive pass completed.
     """
     label.check_total(p)
     cutoff = p.depth if max_level is None else max_level
+
+    def candidates():
+        """(q, exhaustive, searched) in stage order."""
+        yield p, False, 0
+        for q in _greedy_candidates(p, label, cutoff, tree, params):
+            yield q, False, 0
+        for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
+            yield _subfragment(p, keep), True, searched
 
     def constant_level(q: ConditionFragment) -> int | None:
         for lv in range(min(cutoff, q.depth) + 1):
@@ -360,43 +371,32 @@ def decide(
                 return lv
         return None
 
-    lv = constant_level(p)
-    if lv is not None:
-        table = {fn: _cone_labels(p, fn, label).pop() for fn in p.level_nodes(lv)}
-        return DecideResult(True, p, lv, table, exhaustive=False, searched=0)
-
-    # purification against the constant-cone set (upward closed by definition),
-    # run on the original and on the counter-halved fragment; a halved search
-    # result is re-raised onto p's own labels before the graded check
-    constant_nodes = frozenset(
-        fn for fn in p.fns if len(_cone_labels(p, fn, label)) == 1
-    )
     searched = 0
-    nstar = _norm_threshold_level(p, m, tree, params, shape)
-    search_bases = [p]
-    if nstar > 0:
-        try:
-            search_bases.append(halve_below(p, nstar, shape, tree, params))
-        except PreconditionError:
-            pass
-    for base_frag in search_bases:
-        try:
-            pur = purify(base_frag, constant_nodes, m, tree, params, shape)
-        except (PreconditionError, ValidationError):
+    for q, exhaustive, searched in candidates():
+        # p <=_m p needs no check
+        if q is not p and not (
+            validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params, shape)
+        ):
             continue
-        q0 = _subfragment(p, set(pur.fragment.fns))
-        if not validate_condition(q0, tree, params).ok:
-            continue
-        lv = constant_level(q0)
-        if lv is not None and leq_n(p, q0, m, tree, params, shape):
-            table = {fn: _cone_labels(q0, fn, label).pop() for fn in q0.level_nodes(lv)}
-            return DecideResult(True, q0, lv, table, exhaustive=False, searched=0)
+        lv = constant_level(q)
+        if lv is not None:
+            table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lv)}
+            return DecideResult(True, q, lv, table, exhaustive=exhaustive, searched=searched)
+    return DecideResult(False, None, None, {}, exhaustive=True, searched=searched)
 
-    # greedy: per level, assemble value-uniform maximal subcones; the
-    # delta-system of the leaf domains orders the value candidates
+
+def _greedy_candidates(
+    p: ConditionFragment,
+    label: LeafLabeling,
+    cutoff: int,
+    tree: AmbientTree,
+    params: GrowthSequences,
+):
+    """Per level up to the cutoff, the fragment that keeps every lower node
+    and a value-uniform maximal subcone above each node of that level; the
+    delta-system of the leaf domains orders the value candidates."""
     for lv in range(1, min(cutoff, p.depth) + 1):
         keep: set[SpecFn] = set()
-        ok = True
         for fn in p.level_nodes(lv):
             sub = None
             for value in _candidate_values(p, fn, label, tree):
@@ -404,60 +404,12 @@ def decide(
                 if sub is not None:
                     break
             if sub is None:
-                ok = False
                 break
             keep.update(sub)
-        if not ok:
-            continue
-        for l2 in range(lv):
-            keep.update(p.level_nodes(l2))
-        try:
-            q = _subfragment(p, keep)
-        except ConstructionError:
-            continue
-        if not validate_condition(q, tree, params).ok:
-            continue
-        if leq_n(p, q, m, tree, params, shape):
-            lvq = constant_level(q)
-            if lvq is not None:
-                table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lvq)}
-                return DecideResult(True, q, lvq, table, exhaustive=False, searched=0)
-
-    # exhaustive fallback over subfragments (complete, certified)
-    for keep in _valid_subfragments(p, m + 1, tree, params):
-        searched += 1
-        q = _subfragment(p, keep)
-        if not validate_condition(q, tree, params).ok:
-            continue
-        if not leq_n(p, q, m, tree, params, shape):
-            continue
-        lvq = constant_level(q)
-        if lvq is not None:
-            table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lvq)}
-            return DecideResult(True, q, lvq, table, exhaustive=True, searched=searched)
-    return DecideResult(False, None, None, {}, exhaustive=True, searched=searched)
-
-
-def _norm_threshold_level(
-    p: ConditionFragment,
-    m: int,
-    tree: AmbientTree,
-    params: GrowthSequences,
-    shape: NormShape,
-) -> int:
-    """The least level from which every creature has norm >= m + 1 (else 0)."""
-    for lv in range(p.depth + 1):
-        ok = True
-        for eta in p.fns:
-            if p.level_of(eta) < lv or not p.children(eta):
-                continue
-            c = creature_at(p, eta, params)
-            if not shape.norm_geq(normhalf(c, tree, params), max(p.klabel[eta], 1), m + 1):
-                ok = False
-                break
-        if ok:
-            return lv
-    return 0
+        else:
+            for l2 in range(lv):
+                keep.update(p.level_nodes(l2))
+            yield _subfragment(p, keep)
 
 
 def _candidate_values(

@@ -3,14 +3,14 @@
 The three sequences n1, n2, n3 control every size bound in the calculus; the
 shape function f turns a creature's half-norm and counter into its norm, and
 kprime is the halving witness.  All integer-vs-norm comparisons are done in
-exact integer arithmetic for the default (base-2 logarithm) shape.
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ValidationError
 
@@ -117,50 +117,50 @@ def make_growth(
 
 @dataclass(frozen=True)
 class NormShape:
-    """A two-place norm shape with its halving witness.
+    """The norm shape f(n, k) = lg(n/k) clamped at 0, with its halving witness.
 
     `f` maps (n, k) with k >= 1 to a nonnegative real; `kprime` maps (n, k)
     with f(n, k) >= 1 to an integer strictly between k and n.  The exact
     comparators are used whenever a norm is compared to an integer or to
-    another norm shifted by an integer, so the default shape never suffers
-    float rounding in a decision.
+    another norm shifted by an integer, so no decision suffers float rounding.
     """
 
-    f: Callable[[int, int], float]
-    kprime: Callable[[int, int], int]
-    name: str = "custom"
-    # exact hooks; None falls back to plain float comparison
-    _geq_int: Callable[[int, int, int], bool] | None = field(default=None, repr=False)
-    _geq_shifted: Callable[[int, int, int, int, int], bool] | None = field(
-        default=None, repr=False
-    )
+    def f(self, n: int, k: int) -> float:
+        if k < 1:
+            raise DomainError("shape f requires k >= 1")
+        if n <= k:
+            return 0.0
+        return math.log2(n / k)
+
+    def kprime(self, n: int, k: int) -> int:
+        """round(sqrt(nk)), kept strictly between k and n."""
+        kd = _round_sqrt(n * k)
+        return min(max(kd, k + 1), n - 1)
 
     def norm_geq(self, n: int, k: int, threshold: int) -> bool:
         """Exact f(n, k) >= threshold for integer thresholds."""
-        if self._geq_int is not None:
-            return self._geq_int(n, k, threshold)
-        return self.f(n, k) >= threshold
+        if k < 1:
+            raise DomainError("shape f requires k >= 1")
+        if threshold <= 0:
+            return True
+        return n >= k * (1 << threshold)
 
     def norm_pos(self, n: int, k: int) -> bool:
         """Exact f(n, k) > 0."""
-        if self._geq_int is not None:
-            # for the default shape f > 0 iff n > k
-            return n > k
-        return self.f(n, k) > 0
+        return n > k
 
     def norm_geq_shifted(self, n1: int, k1: int, n2: int, k2: int, drop: int) -> bool:
         """Exact f(n1, k1) >= f(n2, k2) - drop for integer drop >= 0."""
-        if self._geq_shifted is not None:
-            return self._geq_shifted(n1, k1, n2, k2, drop)
-        return self.f(n1, k1) >= self.f(n2, k2) - drop
-
-
-def _default_f(n: int, k: int) -> float:
-    if k < 1:
-        raise DomainError("shape f requires k >= 1")
-    if n <= k:
-        return 0.0
-    return math.log2(n / k)
+        # clamped values: f(n,k) = max(0, lg(n/k))
+        lhs_zero = n1 <= k1
+        rhs_zero = n2 <= k2
+        if rhs_zero:
+            return True  # rhs - drop <= 0 <= lhs
+        if lhs_zero:
+            # need f(n2,k2) <= drop
+            return n2 <= k2 * (1 << drop)
+        # lg(n1/k1) >= lg(n2/k2) - drop  <=>  n1*k2*2^drop >= n2*k1
+        return n1 * k2 * (1 << drop) >= n2 * k1
 
 
 def _round_sqrt(x: int) -> int:
@@ -169,41 +169,9 @@ def _round_sqrt(x: int) -> int:
     return s + 1 if x - s * s > s else s
 
 
-def _default_kprime(n: int, k: int) -> int:
-    kd = _round_sqrt(n * k)
-    return min(max(kd, k + 1), n - 1)
-
-
-def _default_geq_int(n: int, k: int, m: int) -> bool:
-    if k < 1:
-        raise DomainError("shape f requires k >= 1")
-    if m <= 0:
-        return True
-    return n >= k * (1 << m)
-
-
-def _default_geq_shifted(n1: int, k1: int, n2: int, k2: int, drop: int) -> bool:
-    # clamped values: f(n,k) = max(0, lg(n/k))
-    lhs_zero = n1 <= k1
-    rhs_zero = n2 <= k2
-    if rhs_zero:
-        return True  # rhs - drop <= 0 <= lhs
-    if lhs_zero:
-        # need f(n2,k2) <= drop
-        return n2 <= k2 * (1 << drop)
-    # lg(n1/k1) >= lg(n2/k2) - drop  <=>  n1*k2*2^drop >= n2*k1
-    return n1 * k2 * (1 << drop) >= n2 * k1
-
-
 def default_shape() -> NormShape:
     """The example shape: f(n,k) = lg(n/k) clamped at 0, kprime = round(sqrt(nk))."""
-    return NormShape(
-        f=_default_f,
-        kprime=_default_kprime,
-        name="default",
-        _geq_int=_default_geq_int,
-        _geq_shifted=_default_geq_shifted,
-    )
+    return NormShape()
 
 
 def f_eval(shape: NormShape, n: int, k: int) -> float:

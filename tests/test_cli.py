@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 FIXDIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
@@ -283,3 +285,38 @@ def test_mutated_fixtures_fail_cleanly(tmp_path, capsys):
                 tried += 1
     capsys.readouterr()
     assert tried > 500
+
+
+
+def _not_a_condition(doc: dict, broken: str) -> dict:
+    """conditions.json whose first fragment is not a condition under its params."""
+    out = json.loads(json.dumps(doc))
+    if broken == "too-few-kinds":
+        out["params"] = {"imax": 0, "n1": [4], "n2": [4], "n3": [8]}
+    else:
+        out["conditions"][0]["nodes"][0]["klabel"] = 50
+    return out
+
+
+@pytest.mark.parametrize(
+    "broken, named",
+    [
+        ("too-few-kinds", "(iv) kinds in range: deepest kind 2 exceeds imax = 0"),
+        ("root-klabel-50", "(iv) creatures and labels: klabel({}) exceeds the half-norm"),
+    ],
+    ids=["too-few-kinds", "root-klabel-50"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["decide", "--m", "0"], ["decide", "--m", "0", "--max-level", "1"], ["purify"]],
+    ids=["decide", "decide-max-level-1", "purify"],
+)
+def test_fragment_that_is_not_a_condition_is_rejected(tmp_path, capsys, broken, named, argv):
+    from creature_lab.cli import main
+
+    path = tmp_path / "conditions.json"
+    path.write_text(json.dumps(_not_a_condition(json.loads((FIXDIR / "conditions.json").read_text()), broken)))
+    assert main([*argv, "--p", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: conditions[0] is not a condition: {named}\n"

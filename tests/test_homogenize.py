@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,12 @@ from creature_lab.errors import DomainError, PreconditionError
 from creature_lab.forcing import creature_at, leq, leq_n, validate_condition
 from creature_lab.generators import (
     depth2_fragment,
+    depth3_fragment,
     profile,
     random_labeling,
     random_upward_closed,
     two_level_tree,
+    wide_tree,
 )
 from creature_lab.homogenize import (
     LeafLabeling,
@@ -41,12 +44,36 @@ def test_purify_empty_set(ctx, frag):
     assert set(res.alternatives.values()) == {"disjoint"}
 
 
-def test_purify_full_set(ctx, frag):
-    tree, params, shape = ctx
-    res = purify(frag, frozenset(frag.fns), 0, tree, params, shape)
-    assert set(res.fragment.fns) == set(frag.fns)
-    assert set(res.alternatives.values()) == {"inside"}
-    assert res.inside_levels[frag.root] == 0
+def _fragment(name):
+    if name == "2x2x3":
+        tree, params = wide_tree(6, 3), profile("cond3")
+        return depth3_fragment(tree, params), tree, params
+    tree, params = two_level_tree(), profile("cond2")
+    branching = tuple(int(b) for b in name.split("x"))
+    return depth2_fragment(tree, params, branching=branching), tree, params
+
+
+def test_purify_full_set():
+    """An upward-closed X that holds every leaf: purify keeps p whole and
+    every front node is inside.  X is every node, or the nodes whose cone
+    carries one label under a seeded random labelling."""
+    for name in ("2x3", "3x3", "3x4", "2x2x3"):
+        p, tree, params = _fragment(name)
+        xsets = {"every node": frozenset(p.fns)}
+        for seed in range(3):
+            label = LeafLabeling(random_labeling(random.Random(seed), p, values=2))
+            xsets[f"constant cones, seed {seed}"] = frozenset(
+                fn for fn in p.fns if len(_cone_labels(p, fn, label)) == 1
+            )
+        for (kind, xset), kstar in itertools.product(xsets.items(), (0, 1)):
+            case = (name, kind, kstar)
+            assert is_upward_closed(p, xset) and set(p.leaves()) <= xset, case
+            res = purify(p, xset, kstar, tree, params, default_shape())
+            assert res.fragment.parent == p.parent, case
+            assert res.fragment.klabel == p.klabel, case
+            assert res.alternatives == {nu: "inside" for nu in res.front}, case
+            for nu in res.front:
+                assert (res.inside_levels[nu] == p.level_of(nu)) == (nu in xset), case
 
 
 def test_purify_single_cone(ctx, frag):

@@ -140,6 +140,24 @@ def test_crash_is_reported_with_its_index(monkeypatch):
     assert [r for r in after if r["index"] != index] == [r for r in before if r["index"] != index]
 
 
+
+def test_shrinker_keeps_only_valid_creatures(monkeypatch):
+    # a check that fails on every creature would shrink to the empty value
+    # range if the shrinker did not require each step to stay a creature
+    suite = "shrink"
+    runner = verify._RUNNERS[suite]
+    always_fails = verify._CreatureSuite(runner.draw, lambda tree, params, c, *rest: verify._failed(c, {}))
+    monkeypatch.setitem(verify._RUNNERS, suite, always_fails)
+    rep = verify.run_suite(suite, 12, 5)
+    assert rep["failures"] == rep["premise_hits"] > 0
+    tree, params, *_ = runner.draw(verify._rng_for(5, rep["first_failure"]["index"]))
+    shrunk = fx.creature_from_fixture(rep["minimal_counterexample"]).simple
+    assert validate_creature(shrunk, params, tree).ok
+    # locally minimal: dropping any one member leaves no creature
+    for eta in shrunk.valrange:
+        smaller = SimpleCreature.make(shrunk.i, shrunk.base, [f for f in shrunk.valrange if f != eta])
+        assert not validate_creature(smaller, params, tree).ok
+
 # sha256 of each canonical report, computed before the creature suites were
 # split into draw and check; a change to any report has to update them
 _GOLDEN = {
