@@ -54,13 +54,17 @@ def _entry(doc: dict, key: str, index: int) -> dict:
     return items[index]
 
 
-def _condition(doc: dict, tree, params):
-    """The document's first fragment, which must be a condition."""
+def _condition(doc: dict, tree, params, flag: str = ""):
+    """The document's first fragment, which must be a condition.
+
+    `flag` names the option the document came from when a command reads two.
+    """
     p = fx.condition_from_fixture(_entry(doc, "conditions", 0))
     rep = validate_condition(p, tree, params)
     if not rep.ok:
         f = rep.failures()[0]
-        raise ValidationError(f"conditions[0] is not a condition: {f.clause}: {f.witness}")
+        where = f"{flag}: " if flag else ""
+        raise ValidationError(f"{where}conditions[0] is not a condition: {f.clause}: {f.witness}")
     return p
 
 
@@ -217,8 +221,8 @@ def cmd_check_leq(args) -> int:
     qdoc = fx.load_document(args.q)
     tree = fx.tree_from_fixture(pdoc["tree"])
     params = _load_params(pdoc)
-    p = fx.condition_from_fixture(_entry(pdoc, "conditions", 0))
-    q = fx.condition_from_fixture(_entry(qdoc, "conditions", 0))
+    p = _condition(pdoc, tree, params, "--p")
+    q = _condition(qdoc, tree, params, "--q")
     res = leq(p, q, tree, params)
     if isinstance(res, NotRelated):
         _emit({"leq": "no", "clause": res.clause, "detail": res.detail})

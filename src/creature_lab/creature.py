@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .params import GrowthSequences, NormShape, log2ceil, log2ceil_ratio
+from .params import GrowthSequences, NormShape, log2ceil, log2ceil_ratio, log2floor_ratio
 from .specfn import SpecFn, is_spec
 from .tree_model import AmbientTree
 
@@ -51,8 +51,12 @@ class ClauseCheck:
 
 
 @dataclass(frozen=True)
-class CreatureReport:
-    """Read-only: one report is shared by every caller through the tree's memo."""
+class ClauseReport:
+    """A creature's or a condition's clause checks.
+
+    Read-only: one creature report is shared by every caller through the
+    tree's memo.
+    """
 
     checks: tuple[ClauseCheck, ...]
 
@@ -85,33 +89,24 @@ def validate_creature(
     c: SimpleCreature,
     params: GrowthSequences,
     tree: AmbientTree,
-    check_d_always: bool = False,
-) -> CreatureReport:
+) -> ClauseReport:
     """Clause-by-clause validation; clause (d) may be implied by norm0 > 0.
 
-    Remembered in the tree's memo under (c, params, check_d_always).
+    Remembered in the tree's memo under (c, params).
     """
-    return tree.memoized(
-        ("validate_creature", c, params, check_d_always),
-        _validate_creature,
-        c,
-        params,
-        tree,
-        check_d_always,
-    )
+    return tree.memoized(("validate_creature", c, params), _validate_creature, c, params, tree)
 
 
 def _validate_creature(
     c: SimpleCreature,
     params: GrowthSequences,
     tree: AmbientTree,
-    check_d_always: bool,
-) -> CreatureReport:
+) -> ClauseReport:
     checks: list[ClauseCheck] = []
     i = c.i
     if i < 0 or i > params.imax:
         checks.append(ClauseCheck("(a)", False, f"kind {i} outside [0, imax]"))
-        return CreatureReport(tuple(checks))
+        return ClauseReport(tuple(checks))
     checks.append(ClauseCheck("(a)", True))
 
     # (b): kind is forced by the base domain size; base lives in spec_{n3[i-1]}
@@ -153,27 +148,12 @@ def _validate_creature(
 
     # (d): checked directly only when norm0 gives no shortcut
     if ok_c:
-        if check_d_always:
+        if all(ch.ok for ch in checks) and cached_norm0(c, tree, params, validate=False) > 0:
+            checks.append(ClauseCheck("(d)", True, "implied by norm0 > 0"))
+        else:
             ok_d, wit_d = clause_d_holds(c)
             checks.append(ClauseCheck("(d)", ok_d, wit_d))
-        else:
-            report_ok = all(ch.ok for ch in checks)
-            if report_ok and cached_norm0(c, tree, params, validate=False) > 0:
-                checks.append(ClauseCheck("(d)", True, "implied by norm0 > 0"))
-            else:
-                ok_d, wit_d = clause_d_holds(c)
-                checks.append(ClauseCheck("(d)", ok_d, wit_d))
-    return CreatureReport(tuple(checks))
-
-
-def _max_beta_k(dom_size: int, n2i: int, cap: int) -> int:
-    """Largest k <= cap with 2^k * dom_size <= n2i."""
-    if dom_size == 0:
-        return cap
-    k = 0
-    while k < cap and (dom_size << (k + 1)) <= n2i:
-        k += 1
-    return k
+    return ClauseReport(tuple(checks))
 
 
 def norm0(
@@ -186,16 +166,26 @@ def norm0(
 
     Only traces of branches on the creature's new points and only values that
     actually occur on new points matter; both reductions are exercised against
-    the naive oracle in the verification suite.  Capped at n1[i].  Computed
-    afresh on every call; `cached_norm0` remembers it in the tree's memo.
+    the naive oracle in the verification suite.
+
+    One loop over k.  An instance at level k is a union of min(k, #traces)
+    traces and a set of min(k, #values) forbidden values; a member wins it
+    when its beta budget holds (|eta| * 2^k <= n2[i]) and it puts no forbidden
+    value on a new point of the union.  The loop returns k - 1 at the first
+    instance no member wins.  It ends by itself: once k exceeds both counts,
+    the one instance left forbids every value on every relevant point, and
+    only a member without new points -- the base -- can win it.  So a value
+    range without its base stops there, and one with its base has a closed
+    form: the largest k within the base's beta budget (every k for the empty
+    base, whose budget never runs out).  Capped at n1[i].  Computed afresh on
+    every call; `cached_norm0` remembers it in the tree's memo.
     """
     if validate:
         rep = validate_creature(c, params, tree)
         if not rep.ok:
             raise ValidationError(f"norm0 of invalid creature: {rep.failures()[0].clause}")
     i = c.i
-    n1i, n2i = params.n1[i], params.n2[i]
-    cap = n1i
+    cap, n2i = params.n1[i], params.n2[i]
     base_dom = c.base.domset()
     # per-member new points with their values
     members = []
@@ -207,21 +197,21 @@ def norm0(
     traces = sorted({frozenset(set(b) & relevant) for b in tree.branches()}, key=sorted)
 
     if not traces:
-        # no branches at all: every instance is vacuous except nothing, so only
-        # the cap applies (the beta clause is never tested without a branch tuple
-        # -- but k = 0 instances with empty a exist and are vacuous too)
+        # no branches at all: every instance is vacuous, so only the cap applies
         return cap
+    if c.base in c.valrange:
+        size = len(c.base)
+        if size == 0:
+            return cap
+        return min(cap, log2floor_ratio(n2i, size)) if size <= n2i else 0
 
     def alpha_ok(news: tuple[tuple[int, int], ...], union: frozenset[int], a: frozenset[int]) -> bool:
         return all(v not in a for x, v in news if x in union)
 
-    def feasible(k: int) -> bool:
+    for k in range(1, cap + 1):
         t = min(k, len(traces))
         a_size = min(k, len(values))
-        unions = sorted(
-            {frozenset().union(*combo) for combo in itertools.combinations(traces, t)},
-            key=sorted,
-        )
+        unions = {frozenset().union(*combo) for combo in itertools.combinations(traces, t)}
         for union in unions:
             for a_tuple in itertools.combinations(values, a_size):
                 a = frozenset(a_tuple)
@@ -229,40 +219,8 @@ def norm0(
                     (sz << k) <= n2i and alpha_ok(news, union, a)
                     for sz, news in members
                 ):
-                    return False
-        return True
-
-    best = 0
-    k = 1
-    while k <= cap:
-        if k > len(traces) and k > len(values):
-            # instances saturate: only the beta budget tightens from here on
-            dmax = 0
-            t = len(traces)
-            a_size = len(values)
-            unions = sorted(
-                {frozenset().union(*combo) for combo in itertools.combinations(traces, t)},
-                key=sorted,
-            ) or [frozenset()]
-            feasible_sat = True
-            for union in unions:
-                for a_tuple in itertools.combinations(values, a_size):
-                    a = frozenset(a_tuple)
-                    good = [sz for sz, news in members if alpha_ok(news, union, a)]
-                    if not good:
-                        feasible_sat = False
-                        break
-                    dmax = max(dmax, min(good))
-                if not feasible_sat:
-                    break
-            if not feasible_sat:
-                return best
-            return max(best, min(cap, _max_beta_k(dmax, n2i, cap)))
-        if not feasible(k):
-            return best
-        best = k
-        k += 1
-    return best
+                    return k - 1
+    return cap
 
 
 def cached_norm0(

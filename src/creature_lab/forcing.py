@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .creature import (
+    ClauseCheck,
+    ClauseReport,
     SimpleCreature,
     cached_norm0,
     normhalf,
@@ -168,56 +170,37 @@ def creature_at(p: ConditionFragment, eta: SpecFn, params: GrowthSequences) -> S
     return SimpleCreature.make(i, eta, kids)
 
 
-@dataclass
-class ConditionCheck:
-    clause: str
-    ok: bool
-    witness: str = ""
-
-
-@dataclass
-class ConditionReport:
-    checks: list[ConditionCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[ConditionCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
 def validate_condition(
     p: ConditionFragment,
     tree: AmbientTree,
     params: GrowthSequences,
-) -> ConditionReport:
+) -> ClauseReport:
     """Clause-by-clause fragment validation (order clauses live in leq)."""
-    checks: list[ConditionCheck] = []
+    checks: list[ClauseCheck] = []
 
     # (i) nodes are specialization functions over the ambient tree
     bad = [fn for fn in p.fns if not is_spec(tree, fn)]
     checks.append(
-        ConditionCheck("(i) spec functions", not bad, f"{bad[0]}" if bad else "")
+        ClauseCheck("(i) spec functions", not bad, f"{bad[0]}" if bad else "")
     )
 
     # (ii)/(iii) tree shape is enforced by the constructor; check root level
-    checks.append(ConditionCheck("(iii) unique root", p.level_of(p.root) == 0))
+    checks.append(ClauseCheck("(iii) unique root", p.level_of(p.root) == 0))
 
     try:
         ip = kind_of(p, params)
     except DomainError as e:
-        checks.append(ConditionCheck("(iv) root kind", False, str(e)))
-        return ConditionReport(checks)
+        checks.append(ClauseCheck("(iv) root kind", False, str(e)))
+        return ClauseReport(tuple(checks))
     if ip + p.depth > params.imax:
         checks.append(
-            ConditionCheck(
+            ClauseCheck(
                 "(iv) kinds in range",
                 False,
                 f"deepest kind {ip + p.depth} exceeds imax = {params.imax}",
             )
         )
-        return ConditionReport(checks)
+        return ClauseReport(tuple(checks))
 
     # (iv) successors form valid creatures; klabels below the half-norm
     ok_iv, wit_iv = True, ""
@@ -239,7 +222,7 @@ def validate_condition(
         if p.klabel[eta] > normhalf(c, tree, params):
             ok_iv, wit_iv = False, f"klabel({eta}) exceeds the half-norm"
             break
-    checks.append(ConditionCheck("(iv) creatures and labels", ok_iv, wit_iv))
+    checks.append(ClauseCheck("(iv) creatures and labels", ok_iv, wit_iv))
 
     # (v) closure under compatible unions, uniqueness of functions
     ok_v, wit_v = True, ""
@@ -252,7 +235,7 @@ def validate_condition(
             if isinstance(u, SpecFn) and u not in fnset:
                 ok_v, wit_v = False, f"union of {a} and {b} missing"
                 break
-    checks.append(ConditionCheck("(v) closure", ok_v, wit_v))
+    checks.append(ClauseCheck("(v) closure", ok_v, wit_v))
 
     # level-size bound
     ok_sz, wit_sz = True, ""
@@ -260,7 +243,7 @@ def validate_condition(
         if not len(fns) < params.n1[ip + lv]:
             ok_sz, wit_sz = False, f"|level {lv}| = {len(fns)} not < n1[{ip + lv}]"
             break
-    checks.append(ConditionCheck("level-size bound", ok_sz, wit_sz))
+    checks.append(ClauseCheck("level-size bound", ok_sz, wit_sz))
 
     # domain-size bound
     ok_dm, wit_dm = True, ""
@@ -274,7 +257,7 @@ def validate_condition(
                 break
         if not ok_dm:
             break
-    checks.append(ConditionCheck("domain-size bound", ok_dm, wit_dm))
+    checks.append(ClauseCheck("domain-size bound", ok_dm, wit_dm))
 
     if p.coverage is not None:
         cov = p.coverage
@@ -289,9 +272,9 @@ def validate_condition(
                 if leaf.domset() - cov.u != seg:
                     ok_cv, wit_cv = False, f"leaf {leaf} does not tile the segment"
                     break
-        checks.append(ConditionCheck("(vi) coverage", ok_cv, wit_cv))
+        checks.append(ClauseCheck("(vi) coverage", ok_cv, wit_cv))
 
-    return ConditionReport(checks)
+    return ClauseReport(tuple(checks))
 
 
 # -- order -----------------------------------------------------------------

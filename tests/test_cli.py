@@ -298,25 +298,38 @@ def _not_a_condition(doc: dict, broken: str) -> dict:
     return out
 
 
+_NAMED = {
+    "too-few-kinds": "(iv) kinds in range: deepest kind 2 exceeds imax = 0",
+    "root-klabel-50": "(iv) creatures and labels: klabel({}) exceeds the half-norm",
+}
+# (id, argv with BAD for the broken document and GOOD for the shipped one,
+# the flag that stderr names, broken documents); check-leq validates both
+# fragments against --p's tree and params, so the too-few-kinds document is a
+# condition there when it comes as --q alone
+_REJECTING = [
+    ("decide", ["decide", "--m", "0", "--p", "BAD"], "", _NAMED),
+    ("decide-max-level-1", ["decide", "--m", "0", "--max-level", "1", "--p", "BAD"], "", _NAMED),
+    ("purify", ["purify", "--p", "BAD"], "", _NAMED),
+    ("check-leq", ["check-leq", "--p", "BAD", "--q", "BAD"], "--p: ", _NAMED),
+    ("check-leq-q", ["check-leq", "--p", "GOOD", "--q", "BAD"], "--q: ", ["root-klabel-50"]),
+]
+
+
 @pytest.mark.parametrize(
-    "broken, named",
+    "argv, flag, broken",
     [
-        ("too-few-kinds", "(iv) kinds in range: deepest kind 2 exceeds imax = 0"),
-        ("root-klabel-50", "(iv) creatures and labels: klabel({}) exceeds the half-norm"),
+        pytest.param(argv, flag, broken, id=f"{name}-{broken}")
+        for name, argv, flag, brokens in _REJECTING
+        for broken in brokens
     ],
-    ids=["too-few-kinds", "root-klabel-50"],
 )
-@pytest.mark.parametrize(
-    "argv",
-    [["decide", "--m", "0"], ["decide", "--m", "0", "--max-level", "1"], ["purify"]],
-    ids=["decide", "decide-max-level-1", "purify"],
-)
-def test_fragment_that_is_not_a_condition_is_rejected(tmp_path, capsys, broken, named, argv):
+def test_fragment_that_is_not_a_condition_is_rejected(tmp_path, capsys, argv, flag, broken):
     from creature_lab.cli import main
 
     path = tmp_path / "conditions.json"
     path.write_text(json.dumps(_not_a_condition(json.loads((FIXDIR / "conditions.json").read_text()), broken)))
-    assert main([*argv, "--p", str(path)]) == 1
+    files = {"BAD": str(path), "GOOD": str(FIXDIR / "conditions.json")}
+    assert main([files.get(a, a) for a in argv]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == f"error: conditions[0] is not a condition: {named}\n"
+    assert out.err == f"error: {flag}conditions[0] is not a condition: {_NAMED[broken]}\n"

@@ -13,7 +13,7 @@ from creature_lab.creature import (
     validate_creature,
 )
 from creature_lab.errors import ValidationError
-from creature_lab.generators import diagonal_creature, random_creature
+from creature_lab.generators import diagonal_creature, profile, random_creature
 from creature_lab.oracle import oracle_norm0
 from creature_lab.params import default_shape, make_growth
 from creature_lab.specfn import EMPTY_FN, SpecFn
@@ -71,13 +71,34 @@ def test_norm0_four_member_example(tree):
     assert oracle_norm0(c, tree, g) == 1
 
 
-def test_norm0_degenerate_closed_form(tree):
-    g = make_growth(1, ((2, 4), (2, 25), (4, 16)))
-    base = SpecFn.make({0: 0})
-    c = SimpleCreature.make(1, base, [base])
-    # alpha is vacuous: min(cap, floor(lg(n2/|dom base|)))
-    assert norm0(c, tree, g) == min(4, (25).bit_length() - 1)
-    assert oracle_norm0(c, tree, g) == norm0(c, tree, g)
+SWEEP = ((5,), (6,), (8,))
+
+
+@pytest.mark.parametrize(
+    "i, g, base, extensions, expected, valid",
+    [
+        # {base}: alpha is vacuous, min(cap, floor(lg(n2/|dom base|)))
+        pytest.param(1, ((2, 4), (2, 25), (4, 16)), {0: 0}, [], min(4, (25).bit_length() - 1), True,
+                     id="base-only"),
+        # the empty base wins every instance and its budget never runs out
+        pytest.param(0, SWEEP, {}, [{3: 0}, {4: 1}], 5, True, id="kind-0-empty-base-and-two"),
+        pytest.param(0, SWEEP, {}, [{3: 0}, {4: 1}, {5: 0}], 5, True, id="kind-0-empty-base-and-three"),
+        # the base outlives every extension: floor(lg(128/2)) = 6 < n1[1] = 81
+        pytest.param(1, "ops", {0: 0, 1: 0}, [{3: 1}, {3: 2}, {4: 1, 5: 2}], 6, True,
+                     id="kind-1-base-and-extensions"),
+        # an unvalidated base longer than n2[0] = 6 is over budget at every k
+        pytest.param(0, SWEEP, dict.fromkeys(range(7), 0), [], 0, False, id="unvalidated-base-over-n2"),
+    ],
+)
+def test_norm0_degenerate_closed_form(tree, i, g, base, extensions, expected, valid):
+    """A value range holding its base: the norm is the base's beta budget, capped."""
+    g = profile(g) if isinstance(g, str) else make_growth(i, g)
+    base_fn = SpecFn.make(base)
+    c = SimpleCreature.make(i, base_fn, [base_fn] + [SpecFn.make({**base, **e}) for e in extensions])
+    assert validate_creature(c, g, tree).ok == valid
+    assert norm0(c, tree, g, validate=valid) == expected
+    if g.n3[i] <= 16:
+        assert oracle_norm0(c, tree, g, validate=False) == expected
 
 
 def test_norm0_empty_degenerate_hits_cap(tree):

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from creature_lab import fixtures as fx
-from creature_lab.creature import SimpleCreature, cached_norm0, norm0, normhalf, validate_creature
+from creature_lab.creature import SimpleCreature, cached_norm0, clause_d_holds, norm0, normhalf, validate_creature
 from creature_lab.forcing import creature_at
 from creature_lab.generators import (
     PROFILES,
@@ -109,9 +109,12 @@ def test_memoized_values_equal_cold_values(corpus):
     for tree, params, creatures in CORPORA[corpus]():
         assert creatures
         for c in creatures:
-            for check_d in (False, True):
-                warm = [validate_creature(c, params, tree, check_d) for _ in range(2)]
-                assert warm[0] == warm[1] == validate_creature(c, params, _cold(tree), check_d)
+            warm = [validate_creature(c, params, tree) for _ in range(2)]
+            assert warm[0] == warm[1] == validate_creature(c, params, _cold(tree))
+            last = warm[0].checks[-1]
+            if last.clause == "(d)":
+                # the norm0 > 0 shortcut agrees with checking clause (d) directly
+                assert last.ok == clause_d_holds(c)[0]
             if not warm[0].ok:
                 continue
             for fn in (cached_norm0, normhalf):
@@ -138,18 +141,15 @@ def test_one_tree_two_growth_sequences_keep_separate_entries():
     assert cached_norm0(c, tree, roomy) == norm0(c, _cold(tree), roomy)
 
 
-def test_check_d_always_is_part_of_the_key():
+def test_validate_creature_is_remembered_under_creature_and_params():
     tree = chain_antichain_tree()
     params = profile("sweep")
     c = diagonal_creature(0, EMPTY_FN, [0, 1], 3, 0, params, tree)
-    shortcut = validate_creature(c, params, tree)
-    direct = validate_creature(c, params, tree, check_d_always=True)
-    assert shortcut.ok and direct.ok
-    assert shortcut.checks[-1].witness == "implied by norm0 > 0"
-    assert direct.checks[-1].witness == ""
-    assert ("validate_creature", c, params, False) in tree._memo
-    assert ("validate_creature", c, params, True) in tree._memo
-    assert validate_creature(c, params, tree) is shortcut
+    rep = validate_creature(c, params, tree)
+    assert rep.ok
+    assert rep.checks[-1].witness == "implied by norm0 > 0"
+    assert ("validate_creature", c, params) in tree._memo
+    assert validate_creature(c, params, tree) is rep
 
 
 def test_memo_never_exceeds_its_bound():
