@@ -231,7 +231,8 @@ def validate_condition(
         ok_v, wit_v = False, "duplicate function"
     else:
         for a, b in itertools.combinations(p.fns, 2):
-            u = union_spec(tree, a, b)
+            # the union depends on (tree, a, b) only, so subfragments share it
+            u = tree.memoized(("union_spec", a, b), union_spec, tree, a, b)
             if isinstance(u, SpecFn) and u not in fnset:
                 ok_v, wit_v = False, f"union of {a} and {b} missing"
                 break
@@ -360,7 +361,7 @@ def leq(
     for eta in q.fns:
         for nu in q.children(eta):
             tau = mapping[nu]
-            if set(tau.dom()) & set(eta.dom()) != set(mapping[eta].dom()):
+            if tau.domset() & eta.domset() != mapping[eta].domset():
                 return NotRelated(
                     "(f)",
                     f"dom({tau}) ∩ dom({eta}) != dom({mapping[eta]})",
@@ -378,7 +379,7 @@ def leq_strict_f(
         img = pr(eta)
         for tau in p.fns:
             if tau != img and tau.extends(img):
-                if set(tau.dom()) & set(eta.dom()) != set(img.dom()):
+                if tau.domset() & eta.domset() != img.domset():
                     return False
     return True
 

@@ -251,6 +251,9 @@ class DecideResult:
     table: dict[SpecFn, int]
     exhaustive: bool
     searched: int
+    # the stage that answered: "trivial", "greedy" or "exhaustive" ("" when
+    # the result is built by hand)
+    stage: str = ""
 
 
 def _cone_labels(p: ConditionFragment, fn: SpecFn, label: LeafLabeling) -> set[int]:
@@ -299,8 +302,20 @@ def _valid_subfragments(
     params: GrowthSequences,
     limit: int = 200000,
 ):
-    """Yield all valid subfragments keeping levels <= frozen_levels intact."""
+    """Yield all valid subfragments keeping levels <= frozen_levels intact.
+
+    Every keep set built, at any level, counts once against `limit`.  The
+    options of a cone below the root are built once and reused by every
+    sibling subset that holds its root; the root's own combinations are
+    yielded lazily, so a caller that stops early builds no more of them.
+    """
     counter = [0]
+    options: dict[SpecFn, list[set[SpecFn]]] = {}
+
+    def cone_options(fn: SpecFn, lv: int) -> list[set[SpecFn]]:
+        if fn not in options:
+            options[fn] = list(expand(fn, lv))
+        return options[fn]
 
     def expand(fn: SpecFn, lv: int):
         kids = p.children(fn)
@@ -318,9 +333,7 @@ def _valid_subfragments(
             cand = SimpleCreature.make(c.i, c.base, subset)
             if not validate_creature(cand, params, tree).ok:
                 continue
-            pools = []
-            for ch in subset:
-                pools.append(list(expand(ch, lv + 1)))
+            pools = [cone_options(ch, lv + 1) for ch in subset]
             if any(not pool for pool in pools):
                 continue
             for combo in itertools.product(*pools):
@@ -358,12 +371,12 @@ def decide(
     cutoff = p.depth if max_level is None else max_level
 
     def candidates():
-        """(q, exhaustive, searched) in stage order."""
-        yield p, False, 0
+        """(q, stage, searched) in stage order."""
+        yield p, "trivial", 0
         for q in _greedy_candidates(p, label, cutoff, tree, params):
-            yield q, False, 0
+            yield q, "greedy", 0
         for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
-            yield _subfragment(p, keep), True, searched
+            yield _subfragment(p, keep), "exhaustive", searched
 
     def constant_level(q: ConditionFragment) -> int | None:
         for lv in range(min(cutoff, q.depth) + 1):
@@ -372,7 +385,7 @@ def decide(
         return None
 
     searched = 0
-    for q, exhaustive, searched in candidates():
+    for q, stage, searched in candidates():
         # p <=_m p needs no check
         if q is not p and not (
             validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params, shape)
@@ -381,8 +394,8 @@ def decide(
         lv = constant_level(q)
         if lv is not None:
             table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lv)}
-            return DecideResult(True, q, lv, table, exhaustive=exhaustive, searched=searched)
-    return DecideResult(False, None, None, {}, exhaustive=True, searched=searched)
+            return DecideResult(True, q, lv, table, stage == "exhaustive", searched, stage)
+    return DecideResult(False, None, None, {}, True, searched, "exhaustive")
 
 
 def _greedy_candidates(

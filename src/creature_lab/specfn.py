@@ -15,12 +15,28 @@ from .errors import DomainError
 from .tree_model import AmbientTree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecFn:
-    """A finite partial map node -> value; `bound` is metadata (values < bound)."""
+    """A finite partial map node -> value; `bound` is metadata (values < bound).
+
+    The hash, the pair set and the domain set are computed once, at
+    construction: dict and set lookups, `extends` and `domset` rebuild
+    nothing.  Equality compares `pairs` only.
+    """
 
     pairs: tuple[tuple[int, int], ...]
     bound: int = field(default=0, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _pairset: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _domset: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.pairs))
+        object.__setattr__(self, "_pairset", frozenset(self.pairs))
+        object.__setattr__(self, "_domset", frozenset(x for x, _ in self.pairs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(mapping: dict[int, int] | None = None, bound: int = 0) -> "SpecFn":
@@ -31,7 +47,7 @@ class SpecFn:
         return tuple(x for x, _ in self.pairs)
 
     def domset(self) -> frozenset[int]:
-        return frozenset(x for x, _ in self.pairs)
+        return self._domset
 
     def get(self, x: int) -> int:
         for node, v in self.pairs:
@@ -46,12 +62,11 @@ class SpecFn:
         return len(self.pairs)
 
     def __contains__(self, x: int) -> bool:
-        return any(node == x for node, _ in self.pairs)
+        return x in self._domset
 
     def extends(self, other: "SpecFn") -> bool:
         """True when self is a superfunction of other."""
-        mine = dict(self.pairs)
-        return all(mine.get(x) == v for x, v in other.pairs)
+        return self._pairset >= other._pairset
 
     def __repr__(self) -> str:
         body = ",".join(f"{x}:{v}" for x, v in self.pairs)

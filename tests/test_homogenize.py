@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from creature_lab.creature import normhalf
+from creature_lab.creature import SimpleCreature, normhalf, validate_creature
 from creature_lab.errors import DomainError, PreconditionError
 from creature_lab.forcing import creature_at, leq, leq_n, validate_condition
 from creature_lab.generators import (
@@ -18,6 +18,7 @@ from creature_lab.generators import (
 from creature_lab.homogenize import (
     LeafLabeling,
     _cone_labels,
+    _valid_subfragments,
     decide,
     halve_below,
     is_upward_closed,
@@ -233,3 +234,103 @@ def test_decide_requires_total_labeling(ctx, frag):
     tree, params, shape = ctx
     with pytest.raises(DomainError, match="misses"):
         decide(frag, LeafLabeling({}), 0, tree, params, shape)
+
+
+def _reference_subfragments(p, frozen_levels, tree, params):
+    """Reference enumeration without sharing: a cone's options are rebuilt
+    for every sibling subset that holds its root."""
+
+    def expand(fn, lv):
+        kids = p.children(fn)
+        if not kids:
+            yield {fn}
+            return
+        if lv < frozen_levels:
+            subsets = [kids]
+        else:
+            subsets = []
+            for r in range(1, len(kids) + 1):
+                subsets.extend(itertools.combinations(kids, r))
+        c = creature_at(p, fn, params)
+        for subset in subsets:
+            cand = SimpleCreature.make(c.i, c.base, subset)
+            if not validate_creature(cand, params, tree).ok:
+                continue
+            pools = [list(expand(ch, lv + 1)) for ch in subset]
+            if any(not pool for pool in pools):
+                continue
+            for combo in itertools.product(*pools):
+                keep = {fn}
+                for s in combo:
+                    keep.update(s)
+                yield keep
+
+    yield from expand(p.root, 0)
+
+
+@pytest.mark.parametrize("name", ["2x2x3", "3x4"])
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_subfragments_match_the_reference_enumeration(name, m):
+    # at m = -1 no level is frozen: each level-1 cone serves several of the
+    # root's child subsets, the case where its options are built only once
+    p, tree, params = _fragment(name)
+    got = list(_valid_subfragments(p, m + 1, tree, params))
+    assert got == list(_reference_subfragments(p, m + 1, tree, params))
+    expected = {"2x2x3": {-1: 256, 0: 256, 1: 256}, "3x4": {-1: 1694, 0: 1331, 1: 1}}
+    assert len(got) == expected[name][m]
+
+
+# (3,3): each of the three level-1 cones has 4 options, keep sets 1-12 when
+# the root is frozen, and then the root's 4^3 = 64 combinations follow.
+# Unfrozen, the root's valid child subsets are the three pairs and the
+# triple; each cone's options are built once, when its first subset needs
+# them, and 3 * 16 + 64 = 112 combinations follow (rebuilding them for every
+# subset would count 148 keep sets in all).
+@pytest.mark.parametrize(
+    "frozen, stops",
+    [
+        (1, {10: 0, 12: 0, 17: 5, 30: 18, 75: 63, 76: None}),
+        (0, {10: 2, 12: 4, 17: 9, 30: 18, 123: 111, 124: None}),
+    ],
+)
+def test_enumeration_limit_counts_every_keep_set_once(frozen, stops):
+    p, tree, params = _fragment("3x3")
+    total = len(list(_valid_subfragments(p, frozen, tree, params)))
+    assert total == {1: 64, 0: 112}[frozen]
+    for limit, before in stops.items():
+        yielded = []
+        if before is None:
+            yielded.extend(_valid_subfragments(p, frozen, tree, params, limit=limit))
+            assert len(yielded) == total, limit
+            continue
+        with pytest.raises(DomainError, match="enumeration limit"):
+            for keep in _valid_subfragments(p, frozen, tree, params, limit=limit):
+                yielded.append(keep)
+        assert len(yielded) == before, limit
+
+
+def _last_level_labels(p, planted):
+    """Labels on the leaves under each last internal node: planted, the
+    first two share 0 and the rest get a label of their own; separating,
+    pairwise distinct."""
+    values = {}
+    for j, nu in enumerate(p.level_nodes(p.depth - 1)):
+        for idx, leaf in enumerate(p.children(nu)):
+            values[leaf] = (0 if idx < 2 else 10 * j + idx) if planted else 10 * j + idx
+    return LeafLabeling(values)
+
+
+@pytest.mark.parametrize("name", ["2x3", "3x3", "3x4"])
+def test_decide_records_the_stage_that_answered(name):
+    p, tree, params = _fragment(name)
+    shape = default_shape()
+    cases = (
+        ("trivial", LeafLabeling({leaf: 5 for leaf in p.leaves()}), True),
+        ("greedy", _last_level_labels(p, planted=True), True),
+        ("exhaustive", _last_level_labels(p, planted=False), False),
+    )
+    for stage, label, found in cases:
+        res = decide(p, label, 0, tree, params, shape, max_level=1)
+        assert (res.stage, res.found) == (stage, found), stage
+        assert res.exhaustive == (stage == "exhaustive")
+        assert (res.searched > 0) == (stage == "exhaustive")

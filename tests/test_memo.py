@@ -1,4 +1,5 @@
-"""The ambient tree's memo of norm0 (`cached_norm0`) and creature validation.
+"""The ambient tree's memo of norm0 (`cached_norm0`), creature validation
+and the pairwise unions of condition clause (v).
 
 Every memoized value must equal the value computed on a cold copy of the
 tree (a fresh AmbientTree with the same width, edges and nodes, whose memo is
@@ -15,7 +16,7 @@ import pytest
 
 from creature_lab import fixtures as fx
 from creature_lab.creature import SimpleCreature, cached_norm0, clause_d_holds, norm0, normhalf, validate_creature
-from creature_lab.forcing import creature_at
+from creature_lab.forcing import ConditionFragment, creature_at, validate_condition
 from creature_lab.generators import (
     PROFILES,
     chain_antichain_tree,
@@ -29,7 +30,8 @@ from creature_lab.generators import (
 )
 from creature_lab.oracle import oracle_norm0
 from creature_lab.params import make_growth
-from creature_lab.specfn import EMPTY_FN, SpecFn, is_spec
+from creature_lab.homogenize import _subfragment, _valid_subfragments
+from creature_lab.specfn import EMPTY_FN, SpecFn, is_spec, union_spec
 from creature_lab.tree_model import MEMO_LIMIT, AmbientTree, build_tree
 
 FIXDIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -197,3 +199,46 @@ def test_oracle_adds_no_memo_entry():
         oracle_norm0(c, cold, params)
     # validating the input is the only memo traffic: no key of the oracle's own
     assert cold._memo.keys() == reference._memo.keys()
+
+
+def test_memoized_unions_match_cold_validation():
+    """Every subfragment that decide's exhaustive search enumerates on the
+    benchmark's four fragments validates on the warm tree exactly as on a
+    cold copy, and every remembered union equals a fresh one."""
+    t2, g2 = two_level_tree(), profile("cond2")
+    t3, g3 = wide_tree(6, 3), profile("cond3")
+    cases = [
+        (depth2_fragment(t2, g2, branching=b), t2, g2, m)
+        for b in ((2, 3), (3, 3), (3, 4))
+        for m in (0, 1)
+    ] + [(depth3_fragment(t3, g3), t3, g3, 0)]
+    validated = 0
+    verdicts = set()
+    for p, tree, params, m in cases:
+        for keep in _valid_subfragments(p, m + 1, tree, params):
+            q = _subfragment(p, keep)
+            warm = validate_condition(q, tree, params)
+            assert warm.checks == validate_condition(q, _cold(tree), params).checks
+            assert len(tree._memo) <= MEMO_LIMIT
+            verdicts.add(warm.ok)
+            validated += 1
+        unions = [key for key in tree._memo if key[0] == "union_spec"]
+        assert unions
+        for key in unions:
+            _, a, b = key
+            assert tree._memo[key] == union_spec(_cold(tree), a, b), key
+    # (2,3), (3,3), (3,4) at m = 0 and at m = 1, then depth 3 at m = 0
+    assert validated == 16 + 1 + 64 + 1 + 1331 + 1 + 256
+    # the search builds conditions only; a failing clause (v) is the next test's
+    assert verdicts == {True}
+
+
+def test_missing_union_is_reported_from_the_memo():
+    tree, params = two_level_tree(), profile("cond2")
+    a, b = SpecFn.make({0: 0}), SpecFn.make({1: 0})  # incomparable nodes
+    q = ConditionFragment({EMPTY_FN: None, a: EMPTY_FN, b: EMPTY_FN}, {EMPTY_FN: 0, a: 0, b: 0})
+    cold = validate_condition(q, _cold(tree), params)
+    assert not cold.ok and cold.failures()[0].witness == "union of {0:0} and {1:0} missing"
+    for _ in range(2):
+        assert validate_condition(q, tree, params).checks == cold.checks
+    assert tree._memo[("union_spec", a, b)] == SpecFn.make({0: 0, 1: 0})

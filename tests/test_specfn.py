@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -66,6 +67,55 @@ def test_chain_times_antichain_count(tree):
     for n in (2, 3, 4):
         fns = enumerate_spec(tree, {0, 3, 2}, n)
         assert len(fns) == n * (n - 1) * n
+
+
+def test_equal_pairs_with_different_bounds_are_equal(tree):
+    for u in ({0, 3}, {2, 4}, set()):
+        for a, b in itertools.product(enumerate_spec(tree, u, 2), enumerate_spec(tree, u, 3)):
+            wide = SpecFn.make(b.as_dict(), bound=b.bound + 5)
+            assert b == wide and hash(b) == hash(wide) and b.bound != wide.bound
+            assert (a == b) == (a.pairs == b.pairs)
+            if a == b:
+                assert hash(a) == hash(b) and a.bound != b.bound
+            assert len({a, b, wide}) == (1 if a == b else 2)
+
+
+def test_pickle_round_trip_keeps_equality_and_hash(tree):
+    pool = enumerate_spec(tree, {0, 3, 2}, 2) + [EMPTY_FN, SpecFn.make({9: 4}, bound=7)]
+    back = pickle.loads(pickle.dumps(pool))
+    for fn, again in zip(pool, back):
+        assert again == fn and hash(again) == hash(fn)
+        assert again.pairs == fn.pairs and again.bound == fn.bound
+        assert again.domset() == fn.domset() and again.extends(fn) and fn.extends(again)
+    # as a dict key, an unpickled function finds the entry of the original
+    table = {fn: j for j, fn in enumerate(pool)}
+    assert [table[fn] for fn in back] == list(range(len(pool)))
+
+
+def _pool(tree):
+    """Every function on every subset of a window, values below 3."""
+    window = (0, 3, 4, 6, 2)
+    return [
+        fn
+        for r in range(len(window) + 1)
+        for u in itertools.combinations(window, r)
+        for fn in enumerate_spec(tree, set(u), 3)
+    ]
+
+
+def test_extends_and_domset_agree_with_dict_definitions(tree):
+    pool = _pool(tree)
+    seen = set()
+    for a, b in itertools.product(pool, repeat=2):
+        mine = dict(a.pairs)
+        expected = all(mine.get(x) == v for x, v in b.pairs)
+        assert a.extends(b) == expected, (a, b)
+        seen.add(expected)
+    assert seen == {True, False}
+    for fn in pool:
+        assert fn.domset() == frozenset(x for x, _ in fn.pairs) == frozenset(fn.dom())
+        for x in tree.nodes:
+            assert (x in fn) == any(node == x for node, _ in fn.pairs)
 
 
 def test_union_examples(tree):
