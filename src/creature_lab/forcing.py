@@ -178,8 +178,9 @@ def validate_condition(
     """Clause-by-clause fragment validation (order clauses live in leq)."""
     checks: list[ClauseCheck] = []
 
-    # (i) nodes are specialization functions over the ambient tree
-    bad = [fn for fn in p.fns if not is_spec(tree, fn)]
+    # (i) nodes are specialization functions over the ambient tree; the
+    # verdict depends on (tree, fn) only, so subfragments share it
+    bad = [fn for fn in p.fns if not tree.memoized(("is_spec", fn), is_spec, tree, fn)]
     checks.append(
         ClauseCheck("(i) spec functions", not bad, f"{bad[0]}" if bad else "")
     )

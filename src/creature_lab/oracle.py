@@ -3,6 +3,11 @@
 Quantifies over every forbidden-value set a inside [0, n3[i]), every ordered
 branch tuple and every member, with no trace or value reduction.  Only the
 representation is compact: value sets and forbidden sets are int bitmasks.
+Over every ordered branch tuple, the forbidden-set quantifier is checked as
+"OR of the live members' avoider sets equals the whole family": bit j of a
+member's avoider set says that the j-th forbidden set misses its values, so
+an instance is lost exactly when some forbidden set is hit by every live
+member.  Families too large for a table are still checked one set at a time.
 Exponential; guarded by a work budget (CREATURE_LAB_BUDGET, default 10^8
 elementary steps).
 """
@@ -66,6 +71,17 @@ def _a_mask_table(n3: int, k: int) -> tuple[int, ...]:
     return tuple(_a_masks(n3, k))
 
 
+# one entry holds at most A_MASK_TABLE_LIMIT bits (2 KiB), so about 1 MiB in all
+@functools.lru_cache(maxsize=512)
+def _avoiders(n3: int, k: int, m: int) -> int:
+    """Bit j set when the j-th mask of _a_mask_table(n3, k) misses the value mask m."""
+    bits = 0
+    for j, a in enumerate(_a_mask_table(n3, k)):
+        if not a & m:
+            bits |= 1 << j
+    return bits
+
+
 def oracle_norm0(
     c: SimpleCreature,
     tree: AmbientTree,
@@ -106,13 +122,26 @@ def oracle_norm0(
                 f"oracle instance too large at k={k}: {cost} > budget {budget}"
             )
         live = [j for j, eta in enumerate(c.valrange) if (len(eta) << k) <= n2i]
-        a_masks = _a_mask_table(n3i, k) if a_count <= A_MASK_TABLE_LIMIT else None
+        table = a_count <= A_MASK_TABLE_LIMIT
+        full = (1 << a_count) - 1
         for combo in itertools.product(branch_bits, repeat=k):
-            member_bits = [0] * len(live)
-            for bits in combo:
-                for slot, j in enumerate(live):
-                    member_bits[slot] |= bits[j]
-            for a in a_masks if a_masks is not None else _a_masks(n3i, k):
+            # each live member's value mask on the tuple: its bits ORed over it
+            member_bits = []
+            for j in live:
+                m = 0
+                for bits in combo:
+                    m |= bits[j]
+                member_bits.append(m)
+            if table:
+                # some forbidden set is hit by every live member exactly when
+                # the live members' avoider sets do not cover the family
+                won = 0
+                for m in member_bits:
+                    won |= _avoiders(n3i, k, m)
+                if won != full:
+                    return False
+                continue
+            for a in _a_masks(n3i, k):
                 for m in member_bits:
                     if not m & a:
                         break

@@ -21,8 +21,8 @@ class AmbientTree:
     """Immutable rooted forest with precomputed ancestor and branch data.
 
     The tree also owns a bounded memo of values derived from it (game norms,
-    creature validations and the pairwise unions of condition clause (v));
-    it dies with the tree.
+    creature validations, the spec-function verdicts of condition clause (i)
+    and the pairwise unions of clause (v)); it dies with the tree.
     """
 
     __slots__ = ("width", "nodes", "parent", "_children", "_ancestors", "_branches", "_memo")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,11 +13,11 @@ from creature_lab.creature import (
     normstar,
     validate_creature,
 )
-from creature_lab.errors import ValidationError
+from creature_lab.errors import BudgetError, ValidationError
 from creature_lab.generators import diagonal_creature, profile, random_creature
 from creature_lab.oracle import oracle_norm0
 from creature_lab.params import default_shape, make_growth
-from creature_lab.specfn import EMPTY_FN, SpecFn
+from creature_lab.specfn import EMPTY_FN, SpecFn, is_spec
 from creature_lab.tree_model import build_tree
 
 
@@ -188,15 +189,80 @@ def test_reduction_matches_oracle_random(tree, params):
     assert checked > 150
 
 
+# criterion 1's forests with their exhaustive windows and value bounds
+WINDOW_FORESTS = [
+    (build_tree(2, [(0, 2), (0, 3)]), (0, 2, 3), 4),
+    (build_tree(3, [(0, 3), (0, 4), (3, 6), (3, 7), (1, 5), (5, 8)], nodes=[2]), (0, 3, 5), 3),
+    (build_tree(3, [(0, 3), (1, 4), (1, 5), (4, 7)], nodes=[2]), (1, 4, 2), 3),
+]
+
+
+def _oracle_cases(tree, params):
+    """(creature, tree, params) for diagonal, random and window-pool creatures."""
+    cases = []
+    antichains = [[6], [4, 6], [2, 4, 8]]
+    for prof in (((5,), (6,), (8,)), ((7,), (12,), (10,)), ((9,), (16,), (12,))):
+        g = make_growth(0, prof)
+        for ac in antichains:
+            for members in (2, 3, 4):
+                c = diagonal_creature(0, EMPTY_FN, ac, members, 1, g, tree)
+                cases.append((c, tree, g))
+    rng = random.Random(6)
+    for _ in range(60):
+        c = random_creature(rng, tree, params, max_members=4, value_bound=6)
+        if c is not None:
+            cases.append((c, tree, params))
+    g = make_growth(0, ((5,), (6,), (8,)))
+    for wtree, window, bound in WINDOW_FORESTS:
+        pool = []
+        for r in (1, 2):
+            for nodes in itertools.combinations(window, r):
+                for vals in itertools.product(range(bound), repeat=r):
+                    fn = SpecFn.make(dict(zip(nodes, vals)), bound=8)
+                    if is_spec(wtree, fn, bound=8):
+                        pool.append(fn)
+        for size in (1, 2, 3):
+            for combo in itertools.combinations(pool[:7], size):
+                c = SimpleCreature.make(0, EMPTY_FN, combo)
+                if clause_d_holds(c)[0]:
+                    cases.append((c, wtree, g))
+    return cases
+
+
 def test_oracle_streamed_masks_match_table(tree, params, monkeypatch):
-    # forbidden sets too many for a table are streamed per branch tuple; both
-    # paths enumerate the same family in the same order
+    # forbidden sets too many for a table are streamed per branch tuple and
+    # checked one at a time; the table path checks them all at once through
+    # the avoider sets, and both must give the same norm
     import creature_lab.oracle as oracle_mod
 
-    rng = random.Random(6)
-    creatures = [random_creature(rng, tree, params, max_members=4, value_bound=6) for _ in range(60)]
-    creatures = [c for c in creatures if c is not None]
-    tabled = [oracle_norm0(c, tree, params, validate=False) for c in creatures]
+    cases = _oracle_cases(tree, params)
+    assert len(cases) > 150
+    tabled = [oracle_norm0(c, t, g, validate=False) for c, t, g in cases]
     monkeypatch.setattr(oracle_mod, "A_MASK_TABLE_LIMIT", 0)
-    assert [oracle_norm0(c, tree, params, validate=False) for c in creatures] == tabled
+    assert [oracle_norm0(c, t, g, validate=False) for c, t, g in cases] == tabled
     assert list(oracle_mod._a_masks(4, 2)) == [0, 1, 2, 4, 8, 3, 5, 9, 6, 10, 12]
+
+
+@pytest.mark.parametrize(
+    "n3, ks, m",
+    [(4, (2,), 0), (4, (1, 2), 0b0101), (6, (3,), 0b100110), (8, (0, 2, 4), 0b10000001), (12, (3,), 0b111)],
+)
+def test_avoiders_match_a_scan(n3, ks, m):
+    import creature_lab.oracle as oracle_mod
+
+    # one m under several k in a row: the cache must keep k apart
+    for k in ks:
+        family = list(oracle_mod._a_masks(n3, k))
+        expected = sum(1 << j for j, a in enumerate(family) if not a & m)
+        assert oracle_mod._avoiders(n3, k, m) == expected
+
+
+def test_oracle_budget_guard_message(tree, params):
+    # the guard runs before any enumeration at each k, with the cost of the
+    # whole instance: (branches ** k) * (forbidden sets) * (members)
+    c = diagonal_creature(0, EMPTY_FN, [4, 6], 4, 1, params, tree)
+    assert len(tree.branches()) == 5
+    with pytest.raises(BudgetError) as err:
+        oracle_norm0(c, tree, params, budget=50_000, validate=False)
+    assert str(err.value) == "oracle instance too large at k=3: 149500 > budget 50000"
+    assert oracle_norm0(c, tree, params, validate=False) == 3

@@ -204,7 +204,8 @@ def test_oracle_adds_no_memo_entry():
 def test_memoized_unions_match_cold_validation():
     """Every subfragment that decide's exhaustive search enumerates on the
     benchmark's four fragments validates on the warm tree exactly as on a
-    cold copy, and every remembered union equals a fresh one."""
+    cold copy, and every remembered union and spec-function verdict equals a
+    fresh one."""
     t2, g2 = two_level_tree(), profile("cond2")
     t3, g3 = wide_tree(6, 3), profile("cond3")
     cases = [
@@ -227,6 +228,10 @@ def test_memoized_unions_match_cold_validation():
         for key in unions:
             _, a, b = key
             assert tree._memo[key] == union_spec(_cold(tree), a, b), key
+        verdict_keys = [key for key in tree._memo if key[0] == "is_spec"]
+        assert verdict_keys
+        for key in verdict_keys:
+            assert tree._memo[key] == is_spec(_cold(tree), key[1]), key
     # (2,3), (3,3), (3,4) at m = 0 and at m = 1, then depth 3 at m = 0
     assert validated == 16 + 1 + 64 + 1 + 1331 + 1 + 256
     # the search builds conditions only; a failing clause (v) is the next test's
@@ -242,3 +247,16 @@ def test_missing_union_is_reported_from_the_memo():
     for _ in range(2):
         assert validate_condition(q, tree, params).checks == cold.checks
     assert tree._memo[("union_spec", a, b)] == SpecFn.make({0: 0, 1: 0})
+
+
+def test_node_that_is_not_a_spec_function_is_reported_from_the_memo():
+    tree, params = two_level_tree(), profile("cond2")
+    bad = SpecFn.make({0: 0, 3: 0})  # comparable nodes 0 < 3 share a value
+    q = ConditionFragment({EMPTY_FN: None, bad: EMPTY_FN}, {EMPTY_FN: 0, bad: 0})
+    cold = validate_condition(q, _cold(tree), params)
+    first = cold.failures()[0]
+    assert (first.clause, first.witness) == ("(i) spec functions", "{0:0,3:0}")
+    for _ in range(2):
+        assert validate_condition(q, tree, params).checks == cold.checks
+    assert tree._memo[("is_spec", bad)] is False
+    assert tree._memo[("is_spec", EMPTY_FN)] is True

@@ -6,8 +6,11 @@ from creature_lab import fixtures as fx
 from creature_lab import verify
 from creature_lab.creature import SimpleCreature, validate_creature
 from creature_lab.errors import DomainError, PreconditionError, ValidationError
+from creature_lab.generators import chain_antichain_tree, diagonal_creature
 from creature_lab.ops import HalveResult, OpResult
-from creature_lab.specfn import SpecFn
+from creature_lab.oracle import oracle_norm0
+from creature_lab.params import make_growth
+from creature_lab.specfn import EMPTY_FN, SpecFn
 
 
 def test_unknown_suite():
@@ -210,3 +213,16 @@ def test_decide_oracle_stops_at_its_enumeration_limit(monkeypatch):
     monkeypatch.setattr(verify, "_ORACLE_LIMIT", 1)
     with pytest.raises(DomainError, match="enumeration limit"):
         verify._decide_oracle(*args)
+
+
+def test_oracle_disagrees_is_silent_over_its_budget():
+    tree, params = chain_antichain_tree(), make_growth(0, ((9,), (16,), (12,)))
+    # within 2 * 10**6 steps up to k = 4: the oracle answers and contradicts a wrong norm
+    small = diagonal_creature(0, EMPTY_FN, [6], 4, 1, params, tree)
+    assert verify._oracle_disagrees(small, 0, tree, params)
+    assert not verify._oracle_disagrees(small, 3, tree, params)
+    # k = 4 costs 3,970,000 steps: over the budget nothing is contradicted,
+    # not even a norm that the default budget shows wrong
+    big = diagonal_creature(0, EMPTY_FN, [6], 8, 1, params, tree)
+    assert oracle_norm0(big, tree, params, validate=False) == 4
+    assert not verify._oracle_disagrees(big, 0, tree, params)
