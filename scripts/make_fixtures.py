@@ -55,7 +55,7 @@ def condition_fixture() -> dict:
     doc["params"] = fx.params_to_fixture(params)
     doc["conditions"] = [fx.condition_to_fixture(p), fx.condition_to_fixture(smooth)]
     values = {leaf: j % 2 for j, leaf in enumerate(p.leaves())}
-    doc["labelings"] = [fx.labeling_to_fixture(p, values, cond_index=0)]
+    doc["labelings"] = [fx.labeling_to_fixture(p, values)]
     return doc
 
 

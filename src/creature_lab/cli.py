@@ -40,10 +40,10 @@ def _emit(doc) -> None:
     sys.stdout.write(fx.canonical_dumps(doc))
 
 
-def _load_params(doc: dict, fallback: str = "default"):
+def _load_params(doc: dict):
     if doc.get("params"):
         return fx.params_from_fixture(doc["params"])
-    return make_growth(2) if fallback == "default" else named_profile(fallback)
+    return make_growth(2)
 
 
 def _entry(doc: dict, key: str, index: int) -> dict:
@@ -118,7 +118,6 @@ def cmd_norm(args) -> int:
     doc = fx.load_document(args.infile)
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
-    shape = default_shape()
     report = []
     for cdoc in doc["creatures"]:
         cplus = fx.creature_from_fixture(cdoc)
@@ -126,7 +125,7 @@ def cmd_norm(args) -> int:
         if not rep.ok:
             report.append({"valid": False, "clause": rep.failures()[0].clause})
             continue
-        rec = norms(cplus, tree, params, shape, validate=False)
+        rec = norms(cplus, tree, params)
         report.append(
             {
                 "valid": True,
@@ -146,7 +145,6 @@ def cmd_apply_op(args) -> int:
     doc = fx.load_document(args.infile)
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
-    shape = default_shape()
     cplus = fx.creature_from_fixture(_entry(doc, "creatures", args.index))
     c = cplus.simple
     out = fx.empty_document()
@@ -180,7 +178,7 @@ def cmd_apply_op(args) -> int:
         result = res.creature if isinstance(res.creature, Creature) else Creature(res.creature, cplus.k)
         meta["side"] = res.side
     elif args.op == "halve":
-        res = halve(cplus, shape, tree, params)
+        res = halve(cplus, tree, params)
         result = res.creature
         meta["repaired"] = res.repaired
         meta["kprime"] = res.kprime
@@ -236,14 +234,13 @@ def cmd_purify(args) -> int:
     doc = fx.load_document(args.p)
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
-    shape = default_shape()
     p = _condition(doc, tree, params)
     order = list(p.fns)
     bad = [j for j in args.x if not 0 <= j < len(order)]
     if bad:
         raise DomainError(f"--x index {bad[0]} is out of range: the fragment has {len(order)} nodes")
     xset = frozenset(order[j] for j in args.x)
-    res = purify(p, xset, args.kstar, tree, params, shape)
+    res = purify(p, xset, args.kstar, tree, params)
     out = fx.empty_document()
     out["tree"] = doc["tree"]
     out["params"] = doc["params"]
@@ -264,14 +261,13 @@ def cmd_decide(args) -> int:
     doc = fx.load_document(args.p)
     tree = fx.tree_from_fixture(doc["tree"])
     params = _load_params(doc)
-    shape = default_shape()
     p = _condition(doc, tree, params)
     ldoc = fx.load_document(args.label) if args.label else doc
     if not ldoc["labelings"]:
         raise DomainError("no labeling in the fixture")
     values = fx.labeling_from_fixture(ldoc["labelings"][0], p)
     res = decide(
-        p, LeafLabeling(values), args.m, tree, params, shape, max_level=args.max_level
+        p, LeafLabeling(values), args.m, tree, params, default_shape(), max_level=args.max_level
     )
     if not res.found:
         _emit({"decide": "not-found", "exhaustive": res.exhaustive, "searched": res.searched})

@@ -262,12 +262,10 @@ def norms(
     cplus: Creature,
     tree: AmbientTree,
     params: GrowthSequences,
-    shape: NormShape,
-    validate: bool = True,
 ) -> NormRecord:
-    """All six norm values of a creature."""
+    """All six norm values of a creature; the caller validates it first."""
     c = cplus.simple
-    n0 = cached_norm0(c, tree, params, validate=validate)
+    n0 = cached_norm0(c, tree, params, validate=False)
     ns = normstar(c, params)
     nh = min(n0, ns)
     return NormRecord(
@@ -276,11 +274,9 @@ def norms(
         normhalf=nh,
         norm1=log2ceil(n0),
         norm2=log2ceil(nh),
-        norm=shape.f(nh, cplus.k),
+        norm=NormShape.f(nh, cplus.k),
     )
 
 
-def normhalf(
-    c: SimpleCreature, tree: AmbientTree, params: GrowthSequences, validate: bool = False
-) -> int:
-    return min(cached_norm0(c, tree, params, validate=validate), normstar(c, params))
+def normhalf(c: SimpleCreature, tree: AmbientTree, params: GrowthSequences) -> int:
+    return min(cached_norm0(c, tree, params, validate=False), normstar(c, params))

@@ -181,10 +181,11 @@ def condition_from_fixture(doc: dict) -> ConditionFragment:
     return ConditionFragment(parent=parent, klabel=klabel, coverage=cov)
 
 
-def labeling_to_fixture(p: ConditionFragment, values: dict[SpecFn, int], cond_index: int = 0) -> dict:
+def labeling_to_fixture(p: ConditionFragment, values: dict[SpecFn, int]) -> dict:
+    """A labelling of the document's first condition, `p`."""
     index = {fn: j for j, fn in enumerate(p.fns)}
     return {
-        "condition": cond_index,
+        "condition": 0,
         "values": sorted([index[leaf], v] for leaf, v in values.items()),
     }
 

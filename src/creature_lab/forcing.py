@@ -405,7 +405,6 @@ def leq_n(
     n: int,
     tree: AmbientTree,
     params: GrowthSequences,
-    shape: NormShape,
 ) -> bool:
     """The graded order: frozen levels <= n, norm floor n on changed creatures."""
     if kind_of(p, params) != kind_of(q, params):
@@ -426,7 +425,7 @@ def leq_n(
         if same:
             continue
         cq = creature_at(q, eta, params)
-        if not shape.norm_geq(normhalf(cq, tree, params), max(q.klabel[eta], 1), n):
+        if not NormShape.norm_geq(normhalf(cq, tree, params), max(q.klabel[eta], 1), n):
             return False
     return True
 
@@ -460,7 +459,6 @@ def fuse(
     ns: list[int],
     tree: AmbientTree,
     params: GrowthSequences,
-    shape: NormShape,
 ) -> ConditionFragment:
     """Band-splice a graded chain; the result dominates each link at its grade."""
     if not qs:
@@ -468,7 +466,7 @@ def fuse(
     if len(ns) != len(qs) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise PreconditionError("ns must be strictly increasing, one per fragment")
     for idx in range(len(qs) - 1):
-        if not leq_n(qs[idx], qs[idx + 1], ns[idx], tree, params, shape):
+        if not leq_n(qs[idx], qs[idx + 1], ns[idx], tree, params):
             raise PreconditionError(f"chain broken at index {idx}: not <=_{ns[idx]}")
     # splice bands [n_{i-1}, n_i) from q_i, the tail from the last fragment
     parent: dict[SpecFn, SpecFn | None] = {}
@@ -486,7 +484,7 @@ def fuse(
                 klabel[fn] = q.klabel[fn]
     fused = ConditionFragment(parent=parent, klabel=klabel, coverage=qs[-1].coverage)
     for q, n in zip(qs, ns):
-        if not leq_n(q, fused, n, tree, params, shape):
+        if not leq_n(q, fused, n, tree, params):
             raise ValidationError(f"fused fragment is not >=_{n} its chain link")
     return fused
 
@@ -503,7 +501,6 @@ def classify(
     p: ConditionFragment,
     tree: AmbientTree,
     params: GrowthSequences,
-    shape: NormShape,
 ) -> Classification:
     """Normality (monotone norms) and smoothness from the coverage record."""
     if p.coverage is None:
@@ -515,7 +512,7 @@ def classify(
             if not p.children(fn):
                 continue
             c = creature_at(p, fn, params)
-            val = shape.f(normhalf(c, tree, params), max(p.klabel[fn], 1))
+            val = NormShape.f(normhalf(c, tree, params), max(p.klabel[fn], 1))
             if prev is not None and val < prev:
                 normal = False
                 break
@@ -654,7 +651,6 @@ def smoothen(
     m: int,
     tree: AmbientTree,
     params: GrowthSequences,
-    shape: NormShape,
 ) -> ConditionFragment:
     """Extend leaf domains to tile the initial segment below alpha.
 
@@ -760,7 +756,7 @@ def smoothen(
     if not rep.ok:
         f = rep.failures()[0]
         raise ValidationError(f"smoothen output invalid: {f.clause} {f.witness}")
-    if not leq_n(p, out, m, tree, params, shape):
+    if not leq_n(p, out, m, tree, params):
         raise ValidationError("smoothen output does not dominate the input at grade m")
     return out
 

@@ -205,7 +205,11 @@ def rebase(
     tree: AmbientTree,
     params: GrowthSequences,
 ) -> OpResult:
-    """Replace the base by etastar, unioning it into every member."""
+    """Replace the base by etastar, unioning it into every member.
+
+    Every union must be a spec function of domain size below n2[i]; a member
+    that fails is a clause (c) error, since dropping it could break the bound.
+    """
     i = c.i
     n0 = cached_norm0(c, tree, params)
     _require(n0 >= 1, "(b)", f"norm0(c) = {n0} not >= 1")
@@ -237,16 +241,20 @@ def rebase(
     members = []
     for nu in c.valrange:
         u = union_spec(tree, nu, etastar)
-        if isinstance(u, SpecFn) and len(u) < params.n2[i]:
-            members.append(u)
-    if not members:
-        raise ValidationError("rebase: no member of the value range survives the union")
+        if not isinstance(u, SpecFn):
+            raise PreconditionError(f"clause (c): member {nu} has no union with etastar: {u.reason}")
+        _require(
+            len(u) < params.n2[i],
+            "(c)",
+            f"union of member {nu} with etastar has domain size {len(u)}, not < n2[i]",
+        )
+        members.append(u)
     d = SimpleCreature.make(i, etastar, members)
     _check_valid(d, params, tree, "rebase")
     return OpResult(
         creature=d,
         bound=n0 - l1 - l2,
-        trace={"l1": l1, "l2": l2, "norm0_c": n0, "dropped": len(c.valrange) - len(members)},
+        trace={"l1": l1, "l2": l2, "norm0_c": n0},
     )
 
 
@@ -346,7 +354,6 @@ class HalveResult:
 
 def halve(
     cplus: Creature,
-    shape: NormShape,
     tree: AmbientTree,
     params: GrowthSequences,
 ) -> HalveResult:
@@ -363,12 +370,12 @@ def halve(
     c = cplus.simple
     nh = normhalf(c, tree, params)
     k = cplus.k
-    if not shape.norm_geq(nh, k, 1):
+    if not NormShape.norm_geq(nh, k, 1):
         raise PreconditionError(f"halve requires norm >= 1, got f({nh}, {k}) < 1")
-    kd = halving_witness(shape, nh, k)
-    repaired = not shape.norm_geq_shifted(nh, kd, nh, k, 1)
+    kd = halving_witness(nh, k)
+    repaired = not NormShape.norm_geq_shifted(nh, kd, nh, k, 1)
     kp = next(
-        (cand for cand in range(nh - 1, k, -1) if shape.norm_geq_shifted(nh, cand, nh, k, 1)),
+        (cand for cand in range(nh - 1, k, -1) if NormShape.norm_geq_shifted(nh, cand, nh, k, 1)),
         None,
     )
     if kp is None:

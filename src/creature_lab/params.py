@@ -1,9 +1,9 @@
-"""Growth sequences and the norm-shape function.
+"""Growth sequences and the fixed norm shape.
 
 The three sequences n1, n2, n3 control every size bound in the calculus; the
-shape function f turns a creature's half-norm and counter into its norm, and
-kprime is the halving witness.  All integer-vs-norm comparisons are done in
-exact integer arithmetic.
+one shape f(n, k) = lg(n/k), clamped at 0, turns a creature's half-norm and
+counter into its norm, and kprime is the halving witness.  All
+integer-vs-norm comparisons are done in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -119,25 +119,29 @@ def make_growth(
 class NormShape:
     """The norm shape f(n, k) = lg(n/k) clamped at 0, with its halving witness.
 
-    `f` maps (n, k) with k >= 1 to a nonnegative real; `kprime` maps (n, k)
-    with f(n, k) >= 1 to an integer strictly between k and n.  The exact
-    comparators are used whenever a norm is compared to an integer or to
-    another norm shifted by an integer, so no decision suffers float rounding.
+    The shape is fixed: no fields, static methods only.  `f` maps (n, k) with
+    k >= 1 to a nonnegative real; `kprime` maps (n, k) with f(n, k) >= 1 to an
+    integer strictly between k and n.  The exact comparators are used whenever
+    a norm is compared to an integer or to another norm shifted by an integer,
+    so no decision suffers float rounding.
     """
 
-    def f(self, n: int, k: int) -> float:
+    @staticmethod
+    def f(n: int, k: int) -> float:
         if k < 1:
             raise DomainError("shape f requires k >= 1")
         if n <= k:
             return 0.0
         return math.log2(n / k)
 
-    def kprime(self, n: int, k: int) -> int:
+    @staticmethod
+    def kprime(n: int, k: int) -> int:
         """round(sqrt(nk)), kept strictly between k and n."""
         kd = _round_sqrt(n * k)
         return min(max(kd, k + 1), n - 1)
 
-    def norm_geq(self, n: int, k: int, threshold: int) -> bool:
+    @staticmethod
+    def norm_geq(n: int, k: int, threshold: int) -> bool:
         """Exact f(n, k) >= threshold for integer thresholds."""
         if k < 1:
             raise DomainError("shape f requires k >= 1")
@@ -145,11 +149,13 @@ class NormShape:
             return True
         return n >= k * (1 << threshold)
 
-    def norm_pos(self, n: int, k: int) -> bool:
+    @staticmethod
+    def norm_pos(n: int, k: int) -> bool:
         """Exact f(n, k) > 0."""
         return n > k
 
-    def norm_geq_shifted(self, n1: int, k1: int, n2: int, k2: int, drop: int) -> bool:
+    @staticmethod
+    def norm_geq_shifted(n1: int, k1: int, n2: int, k2: int, drop: int) -> bool:
         """Exact f(n1, k1) >= f(n2, k2) - drop for integer drop >= 0."""
         # clamped values: f(n,k) = max(0, lg(n/k))
         lhs_zero = n1 <= k1
@@ -170,27 +176,27 @@ def _round_sqrt(x: int) -> int:
 
 
 def default_shape() -> NormShape:
-    """The example shape: f(n,k) = lg(n/k) clamped at 0, kprime = round(sqrt(nk))."""
+    """An instance of the fixed shape, for the slot `homogenize.decide` keeps."""
     return NormShape()
 
 
-def f_eval(shape: NormShape, n: int, k: int) -> float:
+def f_eval(n: int, k: int) -> float:
     """Evaluate the shape; k = 0 is out of domain."""
     if k == 0:
         raise DomainError("f(n, 0) is undefined")
     if k < 0 or n < 0:
         raise DomainError("shape arguments must be naturals")
-    return shape.f(n, k)
+    return NormShape.f(n, k)
 
 
-def halving_witness(shape: NormShape, n: int, k: int) -> int:
+def halving_witness(n: int, k: int) -> int:
     """The halving witness k' with k < k' < n; requires f(n, k) >= 1."""
     if k < 1:
         raise DomainError("halving witness requires k >= 1")
-    if not shape.norm_geq(n, k, 1):
+    if not NormShape.norm_geq(n, k, 1):
         raise PreconditionError(
             f"halving undefined below one unit of norm: f({n}, {k}) < 1"
         )
     if n - k < 2:
         raise PreconditionError(f"no integer lies strictly between {k} and {n}")
-    return shape.kprime(n, k)
+    return NormShape.kprime(n, k)

@@ -67,7 +67,7 @@ from .generators import (
 from .homogenize import LeafLabeling, _cone_labels, decide, purify
 from .oracle import oracle_norm0
 from .ops import fill, glue, halve, rebase, shrink_to_norm
-from .params import default_shape, halving_witness, log2ceil, log2ceil_ratio, make_growth
+from .params import NormShape, default_shape, halving_witness, log2ceil, log2ceil_ratio, make_growth
 from .specfn import SpecFn
 from .tree_model import AmbientTree, build_tree, initial_segment
 
@@ -169,28 +169,27 @@ def _run_growth(rng: random.Random) -> SuiteOutcome:
 
 
 def _run_normshape(rng: random.Random) -> SuiteOutcome:
-    shape = default_shape()
     k1 = rng.randint(1, 2 ** 8)
     k2 = rng.randint(k1, 2 ** 8)
     n2_ = rng.randint(k2, 2 ** 16)
     n1_ = rng.randint(n2_, 2 ** 16)
-    if shape.f(n1_, k1) < shape.f(n2_, k2) - 1e-12:
+    if NormShape.f(n1_, k1) < NormShape.f(n2_, k2) - 1e-12:
         return SuiteOutcome(False, True, {"star2": (n1_, n2_, k2, k1)})
     n = rng.randint(1, 2 ** 16)
     k = rng.randint(1, n)
-    if n <= k and shape.f(n, k) != 0.0:
+    if n <= k and NormShape.f(n, k) != 0.0:
         return SuiteOutcome(False, True, {"star4": (n, k)})
-    if n % 2 == 0 and shape.f(n // 2, k) < shape.f(n, k) - 1 - 1e-12:
+    if n % 2 == 0 and NormShape.f(n // 2, k) < NormShape.f(n, k) - 1 - 1e-12:
         return SuiteOutcome(False, True, {"star3": (n, k)})
-    if shape.norm_geq(n, k, 1) and n >= k + 2:
-        kp = halving_witness(shape, n, k)
+    if NormShape.norm_geq(n, k, 1) and n >= k + 2:
+        kp = halving_witness(n, k)
         if not (k < kp < n):
             return SuiteOutcome(False, True, {"witness_range": (n, k, kp)})
         # exact additivity of the lg shape on the unclamped region
         for _ in range(3):
             np_ = rng.randint(kp + 1, n)
-            lhs = shape.f(np_, k)
-            rhs = shape.f(np_, kp) + shape.f(kp, k)
+            lhs = NormShape.f(np_, k)
+            rhs = NormShape.f(np_, kp) + NormShape.f(kp, k)
             if abs(lhs - rhs) > 1e-9:
                 return SuiteOutcome(False, True, {"additivity": (np_, k, kp)})
     return SuiteOutcome(True, True, {})
@@ -431,8 +430,7 @@ def _check_shrink(tree, params, c, k) -> SuiteOutcome:
 def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict:
     """Exhaustive bipartition check of the three norm variants, both log
     conventions for the integer norms.  Returns violation counts."""
-    shape = default_shape()
-    rec = norms(Creature(c, 1), tree, params, shape, validate=False)
+    rec = norms(Creature(c, 1), tree, params)
     out = {"norm1_ceil": 0, "norm2_ceil": 0, "norm1_floor": 0, "norm": 0, "splits": 0}
     members = c.valrange
     n0_all = rec.norm0
@@ -461,9 +459,9 @@ def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict
             if floorlog(n0_all) >= k + 1 and not (floorlog(n01) >= k or floorlog(n02) >= k):
                 out["norm1_floor"] += 1
         for kl in klabels:
-            f_all = shape.f(nh_all, kl)
+            f_all = NormShape.f(nh_all, kl)
             for k in range(0, int(f_all)):
-                if f_all >= k + 1 and not (shape.f(nh1, kl) >= k or shape.f(nh2, kl) >= k):
+                if f_all >= k + 1 and not (NormShape.f(nh1, kl) >= k or NormShape.f(nh2, kl) >= k):
                     out["norm"] += 1
     return out
 
@@ -508,23 +506,22 @@ def _draw_halving(rng: random.Random):
 
 
 def _check_halving(tree, params, c, k) -> SuiteOutcome:
-    shape = default_shape()
     nh = normhalf(c, tree, params)
-    if not shape.norm_geq(nh, k, 1) or nh - k < 2:
+    if not NormShape.norm_geq(nh, k, 1) or nh - k < 2:
         return _MISS
-    res = halve(Creature(c, k), shape, tree, params)
+    res = halve(Creature(c, k), tree, params)
     info = {"repaired": int(res.repaired), "kprime": res.kprime}
     if res.creature.simple != c:
         return SuiteOutcome(False, True, {"simple_changed": True})
     if not res.creature.k > k:
         return SuiteOutcome(False, True, {"not_monotone": (k, res.creature.k)})
-    if not shape.norm_geq_shifted(nh, res.creature.k, nh, k, 1):
+    if not NormShape.norm_geq_shifted(nh, res.creature.k, nh, k, 1):
         return SuiteOutcome(False, True, {"drop_gt_1": (nh, k, res.creature.k)})
     # recovery property (informational): count failures over the n' range
     rec_fail = 0
     for np_ in range(res.creature.k + 1, nh + 3):
-        if shape.norm_pos(np_, res.creature.k):
-            if not shape.norm_geq_shifted(np_, k, nh, k, 0):
+        if NormShape.norm_pos(np_, res.creature.k):
+            if not NormShape.norm_geq_shifted(np_, k, nh, k, 0):
                 rec_fail += 1
     info["recovery_failures"] = rec_fail
     return SuiteOutcome(True, True, info)
@@ -534,7 +531,6 @@ def _check_halving(tree, params, c, k) -> SuiteOutcome:
 
 
 def _leq_pair(rng, tree, params):
-    shape = default_shape()
     branching = rng.choice([(2, 3), (3, 3), (3, 4), (2, 5)])
     p = depth2_fragment(tree, params, branching=branching)
     mode = rng.choice(["restrict", "shrink", "extend"])
@@ -599,25 +595,24 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
 
 def _run_fusion(rng: random.Random) -> SuiteOutcome:
     tree, params = _condition_context()
-    shape = default_shape()
     p = depth2_fragment(tree, params, branching=rng.choice([(3, 3), (3, 4), (2, 5)]))
     chain = [p]
     ns = []
     grade = 0
     for _ in range(rng.randint(1, 3)):
         nxt = shrink_fragment_above(rng, chain[-1], grade, tree, params)
-        if nxt is None or not leq_n(chain[-1], nxt, grade, tree, params, shape):
+        if nxt is None or not leq_n(chain[-1], nxt, grade, tree, params):
             nxt = chain[-1]
         chain.append(nxt)
         ns.append(grade)
         grade += 1
     ns.append(grade)
     try:
-        fused = fuse(chain, ns, tree, params, shape)
+        fused = fuse(chain, ns, tree, params)
     except PreconditionError as e:
         return SuiteOutcome(False, True, {"chain": str(e)})
     for q, n in zip(chain, ns):
-        if not leq_n(q, fused, n, tree, params, shape):
+        if not leq_n(q, fused, n, tree, params):
             return SuiteOutcome(False, True, {"grade": n})
     return SuiteOutcome(True, True, {"len": len(chain)})
 
@@ -627,7 +622,6 @@ def _run_fusion(rng: random.Random) -> SuiteOutcome:
 
 def _run_smoothen(rng: random.Random) -> SuiteOutcome:
     tree, params = _condition_context()
-    shape = default_shape()
     hold = rng.choice([[2], [2], [1]])
     try:
         p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 4), hold_out=hold)
@@ -635,13 +629,13 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
         return _MISS
     m = rng.randint(0, 1)
     try:
-        q = smoothen(p, 2, m, tree, params, shape)
+        q = smoothen(p, 2, m, tree, params)
     except PreconditionError:
         return _MISS
-    cls = classify(q, tree, params, shape)
+    cls = classify(q, tree, params)
     if not cls.smooth or cls.alpha != 2:
         return SuiteOutcome(False, True, {"smooth": cls.smooth, "alpha": cls.alpha})
-    if not leq_n(p, q, m, tree, params, shape):
+    if not leq_n(p, q, m, tree, params):
         return SuiteOutcome(False, True, {"grade": m})
     pr = leq(p, q, tree, params)
     for eta in q.internal():
@@ -657,16 +651,15 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
 
 def _run_purify(rng: random.Random) -> SuiteOutcome:
     tree, params = _condition_context()
-    shape = default_shape()
     p = depth2_fragment(tree, params, branching=rng.choice([(3, 3), (3, 5), (2, 3)]))
     xset = random_upward_closed(rng, p)
     kstar = rng.randint(0, 1)
     try:
-        res = purify(p, xset, kstar, tree, params, shape)
+        res = purify(p, xset, kstar, tree, params)
     except PreconditionError:
         return _MISS
     q = res.fragment
-    if not leq_n(p, q, kstar, tree, params, shape):
+    if not leq_n(p, q, kstar, tree, params):
         return SuiteOutcome(False, True, {"grade": kstar})
     for nu, alt in res.alternatives.items():
         cone = q.cone_nodes(nu)
@@ -688,7 +681,7 @@ def _run_purify(rng: random.Random) -> SuiteOutcome:
         if log2ceil(nh_new) < log2ceil(nh_old) - 1:
             return SuiteOutcome(False, True, {"norm2_drop": (nh_old, nh_new)})
         kl = max(q.klabel[eta], 1)
-        if not shape.norm_geq_shifted(nh_new, kl, nh_old, kl, 1):
+        if not NormShape.norm_geq_shifted(nh_new, kl, nh_old, kl, 1):
             return SuiteOutcome(False, True, {"norm_drop": (nh_old, nh_new, kl)})
     return SuiteOutcome(True, True, {"front": len(res.front)})
 
@@ -700,7 +693,7 @@ def _run_purify(rng: random.Random) -> SuiteOutcome:
 _ORACLE_LIMIT = 200000
 
 
-def _decide_oracle(p, label, m, tree, params, shape, cutoff):
+def _decide_oracle(p, label, m, tree, params, cutoff):
     """Independent exhaustive confirmation that no subfragment decides.
 
     Its own enumeration of `decide`'s search space: nodes at levels <= m keep
@@ -745,7 +738,7 @@ def _decide_oracle(p, label, m, tree, params, shape, cutoff):
         )
         if not validate_condition(q, cold, params).ok:
             continue
-        if not leq_n(p, q, m, cold, params, shape):
+        if not leq_n(p, q, m, cold, params):
             continue
         for lv in range(min(cutoff, q.depth) + 1):
             if all(len(_cone_labels(q, fn, label)) == 1 for fn in q.level_nodes(lv)):
@@ -754,7 +747,6 @@ def _decide_oracle(p, label, m, tree, params, shape, cutoff):
 
 
 def _run_decide(rng: random.Random) -> SuiteOutcome:
-    shape = default_shape()
     if rng.random() < 0.3:
         tree = wide_tree(6, 3)
         params = profile("cond3")
@@ -767,10 +759,10 @@ def _run_decide(rng: random.Random) -> SuiteOutcome:
         m = rng.randint(0, 1)
         cutoff = 1
     label = LeafLabeling(random_labeling(rng, p, values=rng.randint(2, 3)))
-    res = decide(p, label, m, tree, params, shape, max_level=cutoff)
+    res = decide(p, label, m, tree, params, default_shape(), max_level=cutoff)
     if res.found:
         q = res.fragment
-        if not leq_n(p, q, m, tree, params, shape):
+        if not leq_n(p, q, m, tree, params):
             return SuiteOutcome(False, True, {"graded": False})
         if res.level > cutoff:
             return SuiteOutcome(False, True, {"level": res.level})
@@ -779,7 +771,7 @@ def _run_decide(rng: random.Random) -> SuiteOutcome:
             if len(vals) != 1 or res.table[fn] not in vals:
                 return SuiteOutcome(False, True, {"cone": str(fn)})
         return SuiteOutcome(True, True, {"found": 1})
-    if _decide_oracle(p, label, m, tree, params, shape, cutoff):
+    if _decide_oracle(p, label, m, tree, params, cutoff):
         return SuiteOutcome(False, True, {"not_found_wrong": True})
     return SuiteOutcome(True, True, {"found": 0})
 
@@ -794,7 +786,6 @@ def _tall_tree() -> AmbientTree:
 def _run_fact26(rng: random.Random) -> SuiteOutcome:
     tree = _tall_tree()
     params = profile("cond2")
-    shape = default_shape()
     try:
         p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 4))
     except (PreconditionError, ValidationError):
@@ -823,7 +814,6 @@ def _run_fact26(rng: random.Random) -> SuiteOutcome:
 
 def _run_claim28(rng: random.Random) -> SuiteOutcome:
     tree, params = _condition_context()
-    shape = default_shape()
     p = depth2_fragment(tree, params, branching=rng.choice([(3, 3), (3, 4)]))
     ip = kind_of(p, params)
     # level-size and domain-size bounds re-checked directly
@@ -837,12 +827,12 @@ def _run_claim28(rng: random.Random) -> SuiteOutcome:
                 return SuiteOutcome(False, True, {"dombound": lv})
     # graded chains compose; higher grades imply lower ones
     q = shrink_fragment_above(rng, p, 1, tree, params)
-    if q is not None and leq_n(p, q, 1, tree, params, shape):
+    if q is not None and leq_n(p, q, 1, tree, params):
         r = shrink_fragment_above(rng, q, 1, tree, params)
-        if r is not None and leq_n(q, r, 1, tree, params, shape):
-            if not leq_n(p, r, 1, tree, params, shape):
+        if r is not None and leq_n(q, r, 1, tree, params):
+            if not leq_n(p, r, 1, tree, params):
                 return SuiteOutcome(False, True, {"transitive_leqn": True})
-        if not leq_n(p, q, 0, tree, params, shape):
+        if not leq_n(p, q, 0, tree, params):
             return SuiteOutcome(False, True, {"grade_weaken": True})
         if isinstance(leq(p, q, tree, params), NotRelated):
             return SuiteOutcome(False, True, {"leqn_implies_leq": True})

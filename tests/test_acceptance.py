@@ -213,7 +213,7 @@ def test_criterion_5_bigness_exhaustive():
         c = cplus.simple
         if len(c.valrange) < 2 or len(c.valrange) > 6:
             continue
-        rec = norms(cplus, tree, params, shape, validate=False)
+        rec = norms(cplus, tree, params)
         for mask in range(1, 2 ** len(c.valrange) - 1, 2):
             side1 = [m for j, m in enumerate(c.valrange) if mask >> j & 1]
             side2 = [m for j, m in enumerate(c.valrange) if not mask >> j & 1]
@@ -295,7 +295,7 @@ def test_criterion_6_halving_properties():
         if not shape.norm_geq(nh, k, 1) or nh - k < 2:
             continue
         sampled += 1
-        res = halve(Creature(c, k), shape, tree, params)
+        res = halve(Creature(c, k), tree, params)
         kp = res.creature.k
         assert res.creature.simple == c, "property (1): simple part changed"
         assert k < kp < nh and drop_ok(nh, k, kp), "property (2): norm dropped by more than 1"

@@ -155,6 +155,33 @@ def test_apply_op_index_past_the_end():
     _assert_clean_failure(proc, 1, "index 5")
 
 
+def test_apply_op_rebase_that_would_drop_members_fails(tmp_path, capsys):
+    """rebase refuses a member without a spec union with etastar instead of
+    dropping it and printing a bound that the result's norm0 misses."""
+    from creature_lab import fixtures as fx
+    from creature_lab.cli import main
+    from creature_lab.creature import Creature, SimpleCreature
+    from creature_lab.generators import chain_antichain_tree, profile
+    from creature_lab.specfn import SpecFn
+
+    members = [{0: 4, 4: 0}, {4: 0, 5: 2}, {4: 0, 6: 1}, {4: 0, 7: 3}]
+    c = SimpleCreature.make(1, SpecFn.make({4: 0}), [SpecFn.make(m) for m in members])
+    doc = fx.empty_document()
+    doc["tree"] = fx.tree_to_fixture(chain_antichain_tree())
+    doc["params"] = fx.params_to_fixture(profile("ops"))
+    doc["creatures"] = [fx.creature_to_fixture(Creature(c, 1))]
+    doc["specfns"] = [fx.specfn_to_fixture(SpecFn.make({4: 0, 6: 4}))]
+    path = tmp_path / "rebase.json"
+    fx.save_document(str(path), doc)
+    assert main(["apply-op", "--op", "rebase", "--in", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: clause (c): member {0:4,4:0} has no union with etastar: "
+        "comparable nodes share a value\n"
+    )
+
+
 def test_tree_without_edges_names_the_field(tmp_path):
     path = tmp_path / "no-edges.json"
     path.write_text(json.dumps({"tree": {"width": 3}}))

@@ -125,7 +125,7 @@ def test_norms_record(tree):
     sh = default_shape()
     fns = [SpecFn.make({3: v}) for v in range(2)] + [SpecFn.make({4: v}) for v in range(2)]
     c = SimpleCreature.make(0, EMPTY_FN, fns)
-    rec = norms(Creature(c, 2), tree, g, sh)
+    rec = norms(Creature(c, 2), tree, g)
     assert rec.normstar == 2  # lg(16/4) exactly
     assert rec.norm1 == 0 if rec.norm0 == 0 else True
     # normhalf 8, k 2 -> norm 2.0 on a synthetic record
@@ -135,7 +135,7 @@ def test_norms_record(tree):
 def test_norm1_of_zero_is_zero(tree, params):
     c = SimpleCreature.make(0, EMPTY_FN, [SpecFn.make({3: 0})])
     sh = default_shape()
-    rec = norms(Creature(c, 1), tree, params, sh, validate=False)
+    rec = norms(Creature(c, 1), tree, params)
     assert rec.norm0 == 0 and rec.norm1 == 0
 
 

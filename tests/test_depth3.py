@@ -67,7 +67,7 @@ def test_depth3_decide_verified(ctx, frag):
         res = decide(frag, lab, 0, tree, params, shape, max_level=2)
         if res.found:
             outcomes["found"] += 1
-            assert leq_n(frag, res.fragment, 0, tree, params, shape)
+            assert leq_n(frag, res.fragment, 0, tree, params)
             assert all(
                 len(_cone_labels(res.fragment, fn, lab)) == 1
                 for fn in res.fragment.level_nodes(res.level)

@@ -140,7 +140,7 @@ def test_leq_kind_and_norm_monotone(ctx, frag):
 def test_leq_n_reflexive(ctx, frag):
     tree, params, shape = ctx
     for n in range(3):
-        assert leq_n(frag, frag, n, tree, params, shape)
+        assert leq_n(frag, frag, n, tree, params)
 
 
 def test_leq_n_frozen_levels(ctx):
@@ -150,8 +150,8 @@ def test_leq_n_frozen_levels(ctx):
     rng = random.Random(1)
     q = shrink_fragment_above(rng, frag, 1, tree, params)
     assert q is not None
-    assert leq_n(frag, q, 1, tree, params, shape)
-    assert leq_n(frag, q, 0, tree, params, shape)  # 2.8(7): grades weaken
+    assert leq_n(frag, q, 1, tree, params)
+    assert leq_n(frag, q, 0, tree, params)  # 2.8(7): grades weaken
     assert not isinstance(leq(frag, q, tree, params), NotRelated)
 
 
@@ -161,7 +161,7 @@ def test_leq_n_rejects_low_level_change(ctx, frag):
     q = shrink_fragment_above(rng, frag, 0, tree, params)
     assert q is not None
     if q.level_nodes(1) != frag.level_nodes(1):
-        assert not leq_n(frag, q, 1, tree, params, shape)
+        assert not leq_n(frag, q, 1, tree, params)
 
 
 def test_restrict_identity_and_leaf(ctx, frag):
@@ -174,7 +174,7 @@ def test_restrict_identity_and_leaf(ctx, frag):
 
 def test_fuse_single(ctx, frag):
     tree, params, shape = ctx
-    out = fuse([frag], [1], tree, params, shape)
+    out = fuse([frag], [1], tree, params)
     assert set(out.fns) == set(frag.fns)
 
 
@@ -184,10 +184,10 @@ def test_fuse_two_chain(ctx, frag):
     q = None
     while q is None:
         q = shrink_fragment_above(rng, frag, 0, tree, params)
-    assert leq_n(frag, q, 0, tree, params, shape)
-    fused = fuse([frag, q], [0, 1], tree, params, shape)
-    assert leq_n(frag, fused, 0, tree, params, shape)
-    assert leq_n(q, fused, 1, tree, params, shape)
+    assert leq_n(frag, q, 0, tree, params)
+    fused = fuse([frag, q], [0, 1], tree, params)
+    assert leq_n(frag, fused, 0, tree, params)
+    assert leq_n(q, fused, 1, tree, params)
 
 
 def test_fuse_non_chain_rejected(ctx, frag):
@@ -198,7 +198,7 @@ def test_fuse_non_chain_rejected(ctx, frag):
     plan = FragmentPlan(branching=[2, 3], slices=[[0], [2, 3, 4, 5]], klabels=[1, 1, 0])
     other = canonical_fragment(tree, params, plan, value_bands=[4, 30])
     with pytest.raises(PreconditionError, match="chain"):
-        fuse([frag, other], [0, 1], tree, params, shape)
+        fuse([frag, other], [0, 1], tree, params)
 
 
 def test_classify_examples(ctx):
@@ -208,10 +208,10 @@ def test_classify_examples(ctx):
         klabel={EMPTY_FN: 0},
         coverage=Coverage(k=0, alpha=0, u=frozenset()),
     )
-    cls = classify(p, tree, params, shape)
+    cls = classify(p, tree, params)
     assert cls.smooth and cls.weakly_smooth and cls.alpha == 0
     smooth = smooth_target_fragment(tree, params, alpha=2)
-    cls2 = classify(smooth, tree, params, shape)
+    cls2 = classify(smooth, tree, params)
     assert cls2.smooth and cls2.alpha == 2 and cls2.normal
 
 
@@ -223,14 +223,14 @@ def test_classify_weakly_smooth_with_u(ctx):
         klabel=dict(smooth.klabel),
         coverage=Coverage(k=0, alpha=2, u=frozenset({99})),
     )
-    cls = classify(p, tree, params, shape)
+    cls = classify(p, tree, params)
     assert cls.weakly_smooth and not cls.smooth
 
 
 def test_classify_requires_coverage(ctx, frag):
     tree, params, shape = ctx
     with pytest.raises(PreconditionError):
-        classify(frag, tree, params, shape)
+        classify(frag, tree, params)
 
 
 def test_fronts(ctx, frag):
@@ -293,18 +293,18 @@ def test_normalize_cone_min(ctx, frag):
 def test_smoothen_already_smooth(ctx):
     tree, params, shape = ctx
     p = smooth_target_fragment(tree, params, alpha=2)
-    q = smoothen(p, 2, 1, tree, params, shape)
+    q = smoothen(p, 2, 1, tree, params)
     assert set(q.fns) == set(p.fns)
-    assert classify(q, tree, params, shape).smooth
+    assert classify(q, tree, params).smooth
 
 
 def test_smoothen_fills_missing_node(ctx):
     tree, params, shape = ctx
     p = smooth_target_fragment(tree, params, alpha=2, hold_out=[2])
-    q = smoothen(p, 2, 1, tree, params, shape)
-    cls = classify(q, tree, params, shape)
+    q = smoothen(p, 2, 1, tree, params)
+    cls = classify(q, tree, params)
     assert cls.smooth and cls.alpha == 2
-    assert leq_n(p, q, 1, tree, params, shape)
+    assert leq_n(p, q, 1, tree, params)
     pr = leq(p, q, tree, params)
     for eta in q.internal():
         n_new = norm0(creature_at(q, eta, params), tree, params, validate=False)
@@ -316,7 +316,7 @@ def test_smoothen_leaf_outside_segment_rejected(ctx):
     tree, params, shape = ctx
     p = smooth_target_fragment(tree, params, alpha=2)
     with pytest.raises(PreconditionError, match="outside"):
-        smoothen(p, 1, 0, tree, params, shape)
+        smoothen(p, 1, 0, tree, params)
 
 
 def test_smoothen_budget_failure(ctx):
@@ -324,4 +324,4 @@ def test_smoothen_budget_failure(ctx):
     # 2-branching creatures have game norm 1: cannot absorb a missing node
     p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 2), hold_out=[2])
     with pytest.raises(PreconditionError, match="budget|absorb|norm"):
-        smoothen(p, 2, 0, tree, params, shape)
+        smoothen(p, 2, 0, tree, params)

@@ -40,7 +40,7 @@ def frag(ctx):
 
 def test_purify_empty_set(ctx, frag):
     tree, params, shape = ctx
-    res = purify(frag, frozenset(), 0, tree, params, shape)
+    res = purify(frag, frozenset(), 0, tree, params)
     assert set(res.fragment.fns) == set(frag.fns)
     assert set(res.alternatives.values()) == {"disjoint"}
 
@@ -69,7 +69,7 @@ def test_purify_full_set():
         for (kind, xset), kstar in itertools.product(xsets.items(), (0, 1)):
             case = (name, kind, kstar)
             assert is_upward_closed(p, xset) and set(p.leaves()) <= xset, case
-            res = purify(p, xset, kstar, tree, params, default_shape())
+            res = purify(p, xset, kstar, tree, params)
             assert res.fragment.parent == p.parent, case
             assert res.fragment.klabel == p.klabel, case
             assert res.alternatives == {nu: "inside" for nu in res.front}, case
@@ -82,9 +82,9 @@ def test_purify_single_cone(ctx, frag):
     target = frag.level_nodes(1)[0]
     xset = frozenset(frag.cone_nodes(target))
     assert is_upward_closed(frag, xset)
-    res = purify(frag, xset, 0, tree, params, shape)
+    res = purify(frag, xset, 0, tree, params)
     q = res.fragment
-    assert leq_n(frag, q, 0, tree, params, shape)
+    assert leq_n(frag, q, 0, tree, params)
     alt = res.alternatives[q.root]
     if alt == "disjoint":
         assert all(fn not in xset for fn in q.fns)
@@ -99,7 +99,7 @@ def test_purify_norm_drops(ctx, frag):
     for _ in range(20):
         xset = random_upward_closed(rng, frag)
         try:
-            res = purify(frag, xset, 0, tree, params, shape)
+            res = purify(frag, xset, 0, tree, params)
         except PreconditionError:
             continue
         q = res.fragment
@@ -119,29 +119,29 @@ def test_purify_rejects_non_upward_closed(ctx, frag):
     tree, params, shape = ctx
     xset = frozenset({frag.root})  # root without its cone
     with pytest.raises(PreconditionError, match="upward"):
-        purify(frag, xset, 0, tree, params, shape)
+        purify(frag, xset, 0, tree, params)
 
 
 def test_purify_kstar_budget(ctx, frag):
     tree, params, shape = ctx
     target = frag.level_nodes(1)[0]
     xset = frozenset(frag.cone_nodes(target))
-    res = purify(frag, xset, 1, tree, params, shape)
-    assert leq_n(frag, res.fragment, 1, tree, params, shape)
+    res = purify(frag, xset, 1, tree, params)
+    assert leq_n(frag, res.fragment, 1, tree, params)
     for nu in res.front:
         assert res.alternatives[nu] in ("inside", "disjoint")
 
 
 def test_halve_below_identity_at_zero(ctx, frag):
     tree, params, shape = ctx
-    p = halve_below(frag, 0, shape, tree, params)
+    p = halve_below(frag, 0, tree, params)
     assert p.klabel == frag.klabel
 
 
 def test_halve_below_drops_at_most_one(ctx):
     tree, params, shape = ctx
     p = depth2_fragment(tree, params, branching=(3, 4))
-    q = halve_below(p, [1], shape, tree, params)
+    q = halve_below(p, [1], tree, params)
     for eta in p.level_nodes(1):
         c = creature_at(p, eta, params)
         nh = normhalf(c, tree, params)
@@ -154,7 +154,7 @@ def test_halve_below_low_norm_error(ctx, frag):
     tree, params, shape = ctx
     # the root creature has norm 0 here
     with pytest.raises(PreconditionError, match="norm below 1"):
-        halve_below(frag, [0], shape, tree, params)
+        halve_below(frag, [0], tree, params)
 
 
 def test_decide_constant_labeling(ctx, frag):
@@ -189,7 +189,7 @@ def test_decide_single_cone_constantable(ctx, frag):
     res = decide(frag, LeafLabeling(values), 0, tree, params, shape, max_level=1)
     if res.found:
         q = res.fragment
-        assert leq_n(frag, q, 0, tree, params, shape)
+        assert leq_n(frag, q, 0, tree, params)
         for fn in q.level_nodes(res.level):
             assert len(_cone_labels(q, fn, LeafLabeling(values))) == 1
     else:
@@ -222,7 +222,7 @@ def test_decide_random_verified(ctx, frag):
         if res.found:
             found_ct += 1
             q = res.fragment
-            assert leq_n(frag, q, 0, tree, params, shape)
+            assert leq_n(frag, q, 0, tree, params)
             assert all(
                 len(_cone_labels(q, fn, label_obj)) == 1
                 for fn in q.level_nodes(res.level)

@@ -5,7 +5,7 @@ import pytest
 
 from creature_lab.creature import Creature, SimpleCreature, norm0, normhalf, normstar, validate_creature
 from creature_lab.errors import DomainError, PreconditionError
-from creature_lab.generators import diagonal_creature
+from creature_lab.generators import chain_antichain_tree, diagonal_creature, profile
 from creature_lab.oracle import oracle_norm0
 from creature_lab.ops import bigness_split, fill, glue, halve, rebase, shrink_to_norm
 from creature_lab.params import default_shape, log2ceil, make_growth
@@ -186,6 +186,17 @@ def test_rebase_budget_precondition(tree):
         rebase(c, star, tree, g)
 
 
+def test_rebase_refuses_a_member_without_a_spec_union():
+    # dropping the two members whose union with etastar is not a spec
+    # function would leave norm0 1 under a promised bound of 3 - 0 - 1 = 2
+    tree, g = chain_antichain_tree(), profile("ops")
+    members = [{0: 4, 4: 0}, {4: 0, 5: 2}, {4: 0, 6: 1}, {4: 0, 7: 3}]
+    c = SimpleCreature.make(1, SpecFn.make({4: 0}), [SpecFn.make(m) for m in members])
+    assert validate_creature(c, g, tree).ok and norm0(c, tree, g) == 3
+    with pytest.raises(PreconditionError, match=r"clause \(c\): member \{0:4,4:0\}"):
+        rebase(c, SpecFn.make({4: 0, 6: 4}), tree, g)
+
+
 def test_shrink_identity_at_full_norm(tree, params, four_member):
     n0 = norm0(four_member, tree, params)
     res = shrink_to_norm(four_member, n0, tree, params)
@@ -280,7 +291,7 @@ def test_halve_repair_instance(tree):
     assert nh == 4  # min(norm0 cap..., normstar)
     sh = default_shape()
     cp = Creature(c, 1)
-    res = halve(cp, sh, tree, g)
+    res = halve(cp, tree, g)
     assert res.creature.k > 1
     assert sh.norm_geq_shifted(nh, res.creature.k, nh, 1, 1)
 
@@ -298,7 +309,7 @@ def test_halve_precondition(tree, params, four_member):
     cp = Creature(four_member, norm0(four_member, tree, params))
     # normhalf equals the counter: f = 0 < 1
     with pytest.raises(PreconditionError):
-        halve(cp, sh, tree, params)
+        halve(cp, tree, params)
 
 
 def test_halve_monotone_and_drop_sweep(tree):
@@ -315,7 +326,7 @@ def test_halve_monotone_and_drop_sweep(tree):
         k = rng.randint(1, max(1, nh // 2))
         if not sh.norm_geq(nh, k, 1) or nh - k < 2:
             continue
-        res = halve(Creature(c, k), sh, tree, g)
+        res = halve(Creature(c, k), tree, g)
         assert res.creature.simple == c
         assert res.creature.k > k
         assert sh.norm_geq_shifted(nh, res.creature.k, nh, k, 1)

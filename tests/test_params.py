@@ -1,10 +1,18 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 
 import pytest
 
+import creature_lab
 from creature_lab.errors import DomainError, PreconditionError, ValidationError
+from creature_lab.generators import depth2_fragment, profile, two_level_tree
+from creature_lab.homogenize import LeafLabeling, decide
 from creature_lab.params import (
+    NormShape,
     default_shape,
     f_eval,
     halving_witness,
@@ -54,37 +62,35 @@ def test_derived_fill_inequality_holds_for_defaults():
 
 
 def test_f_eval_values():
-    sh = default_shape()
-    assert f_eval(sh, 8, 2) == 2.0
-    assert f_eval(sh, 2, 4) == 0.0
-    assert f_eval(sh, 16, 16) == 0.0
+    assert f_eval(8, 2) == 2.0
+    assert f_eval(2, 4) == 0.0
+    assert f_eval(16, 16) == 0.0
 
 
 def test_f_eval_zero_counter_is_domain_error():
     with pytest.raises(DomainError):
-        f_eval(default_shape(), 8, 0)
+        f_eval(8, 0)
 
 
 def test_halving_witness_values():
-    sh = default_shape()
-    assert halving_witness(sh, 16, 4) == 8
-    assert halving_witness(sh, 64, 1) == 8
+    assert halving_witness(16, 4) == 8
+    assert halving_witness(64, 1) == 8
 
 
 def test_halving_witness_boundary_f_equal_one():
     # f(4,2) = 1 satisfies the stated precondition; the witness is the
     # rounded geometric mean clamped into (2, 4)
-    assert halving_witness(default_shape(), 4, 2) == 3
+    assert halving_witness(4, 2) == 3
 
 
 def test_halving_witness_below_one_unit():
     with pytest.raises(PreconditionError, match="one unit"):
-        halving_witness(default_shape(), 4, 4)
+        halving_witness(4, 4)
 
 
 def test_halving_witness_no_integer_between():
     with pytest.raises(PreconditionError, match="strictly between"):
-        halving_witness(default_shape(), 2, 1)
+        halving_witness(2, 1)
 
 
 def test_shape_monotonicity_sampled():
@@ -125,7 +131,7 @@ def test_witness_interval_and_additivity_sampled():
         k = rng.randint(1, n)
         if not sh.norm_geq(n, k, 1) or n - k < 2:
             continue
-        kp = halving_witness(sh, n, k)
+        kp = halving_witness(n, k)
         assert k < kp < n
         np_ = rng.randint(kp + 1, n)
         # the lg shape splits exactly over an intermediate counter
@@ -148,7 +154,7 @@ def test_witness_floor_on_intermediate_arguments():
         k = rng.randint(1, n)
         if sh.f(n, k) < 2 or n - k < 2:
             continue
-        kp = halving_witness(sh, n, k)
+        kp = halving_witness(n, k)
         for np_ in range(kp + 1, min(kp + 40, n)):
             assert sh.f(np_, k) >= sh.f(n, k) - 1 - 1e-12
 
@@ -189,3 +195,56 @@ def test_kind_for_dom_size():
     assert g.kind_for_dom_size(3) == 2
     with pytest.raises(DomainError):
         g.kind_for_dom_size(26)
+
+
+def _functions_with_shape():
+    """module.qualname of every function and method defined in creature_lab
+    that has a parameter named `shape`."""
+    found = set()
+    for info in pkgutil.iter_modules(creature_lab.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"creature_lab.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            funcs = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                funcs = [f for _, f in inspect.getmembers(obj, inspect.isfunction)]
+            for fn in funcs:
+                if fn.__module__ == mod.__name__ and "shape" in inspect.signature(fn).parameters:
+                    found.add(f"{info.name}.{fn.__qualname__}")
+    return found
+
+
+def test_only_decide_takes_a_shape():
+    # the norm shape is fixed; decide keeps an unread slot that the benchmark fills
+    assert _functions_with_shape() == {"homogenize.decide"}
+    assert dataclasses.fields(NormShape) == ()
+    for name in ("f", "kprime", "norm_geq", "norm_pos", "norm_geq_shifted"):
+        assert isinstance(inspect.getattr_static(NormShape, name), staticmethod), name
+        assert getattr(default_shape(), name) is getattr(NormShape, name)
+
+
+def _decide_fields(res):
+    frag = None if res.fragment is None else (res.fragment.parent, res.fragment.klabel)
+    return (res.found, frag, res.level, res.table, res.exhaustive, res.searched, res.stage)
+
+
+@pytest.mark.parametrize("branching", [(2, 3), (3, 3)])
+def test_decide_does_not_read_its_shape_slot(branching):
+    tree, params = two_level_tree(), profile("cond2")
+    p = depth2_fragment(tree, params, branching=branching)
+    # planted: the first two leaves under each last internal node share a
+    # label; separating: every leaf has a label of its own
+    planted, separating = {}, {}
+    for j, nu in enumerate(p.level_nodes(p.depth - 1)):
+        for i, leaf in enumerate(p.children(nu)):
+            planted[leaf] = 0 if i < 2 else 10 * j + i
+            separating[leaf] = 10 * j + i
+    for values, found in ((planted, True), (separating, False)):
+        label = LeafLabeling(values)
+        with_none = decide(p, label, 0, tree, params, None, max_level=1)
+        with_shape = decide(p, label, 0, tree, params, default_shape(), max_level=1)
+        assert with_none.found == found
+        assert _decide_fields(with_none) == _decide_fields(with_shape)

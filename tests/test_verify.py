@@ -83,7 +83,7 @@ _PLANTED = {
     "shrink": ("shrink_to_norm", lambda real: lambda c, k, tree, params: OpResult(c, k, {})),
     # the ceiling-log 2-bigness defect is real: nothing needs planting
     "bigness": None,
-    "halving": ("halve", lambda real: lambda cplus, shape, tree, params: HalveResult(cplus, False, cplus.k, cplus.k)),
+    "halving": ("halve", lambda real: lambda cplus, tree, params: HalveResult(cplus, False, cplus.k, cplus.k)),
 }
 
 
@@ -203,12 +203,11 @@ def test_decide_oracle_stops_at_its_enumeration_limit(monkeypatch):
 
     from creature_lab.generators import depth2_fragment, random_labeling
     from creature_lab.homogenize import LeafLabeling
-    from creature_lab.params import default_shape
 
     tree, params = verify._condition_context()
     p = depth2_fragment(tree, params, branching=(3, 3))
     label = LeafLabeling(random_labeling(random.Random(1), p, values=2))
-    args = (p, label, 0, tree, params, default_shape(), 1)
+    args = (p, label, 0, tree, params, 1)
     assert verify._decide_oracle(*args) in (True, False)
     monkeypatch.setattr(verify, "_ORACLE_LIMIT", 1)
     with pytest.raises(DomainError, match="enumeration limit"):
