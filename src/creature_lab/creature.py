@@ -9,7 +9,9 @@ only; the naive reference implementation lives in `oracle.oracle_norm0`.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
@@ -69,19 +71,19 @@ class ClauseReport:
 
 
 def clause_d_holds(c: SimpleCreature) -> tuple[bool, str]:
-    """Every new point of a member is contradicted or omitted by some member."""
+    """Every new point of a member is contradicted or omitted by some member.
+
+    A new point fails exactly when its (node, value) pair is common to all
+    members; the first member then fails first, at the smallest such node.
+    """
+    if not c.valrange:
+        return True, ""
+    first = c.valrange[0]
+    common = first.pairset().intersection(*(eta.pairset() for eta in c.valrange[1:]))
     base_dom = c.base.domset()
-    for eta1 in c.valrange:
-        d1 = eta1.as_dict()
-        for x in sorted(eta1.domset() - base_dom):
-            ok = False
-            for eta2 in c.valrange:
-                d2 = eta2.as_dict()
-                if x not in d2 or d2[x] != d1[x]:
-                    ok = True
-                    break
-            if not ok:
-                return False, f"member {eta1} point {x}"
+    new = [x for x, _ in common if x not in base_dom]
+    if new:
+        return False, f"member {first} point {min(new)}"
     return True, ""
 
 
@@ -162,23 +164,29 @@ def norm0(
     params: GrowthSequences,
     validate: bool = True,
 ) -> int:
-    """The game norm, computed with the branch-trace reduction.
+    """The game norm, computed with the branch-trace reduction on node masks.
 
     Only traces of branches on the creature's new points and only values that
     actually occur on new points matter; both reductions are exercised against
     the naive oracle in the verification suite.
 
+    Nodes and values are bits of ints: a trace is a branch's node mask (the
+    tree's `branch_masks`, bit x for node x) cut down to the relevant nodes,
+    a member's new points are (node bit, value bit) pairs, and a forbidden
+    set is a value mask.
+
     One loop over k.  An instance at level k is a union of min(k, #traces)
     traces and a set of min(k, #values) forbidden values; a member wins it
     when its beta budget holds (|eta| * 2^k <= n2[i]) and it puts no forbidden
     value on a new point of the union.  The loop returns k - 1 at the first
-    instance no member wins.  It ends by itself: once k exceeds both counts,
-    the one instance left forbids every value on every relevant point, and
-    only a member without new points -- the base -- can win it.  So a value
-    range without its base stops there, and one with its base has a closed
-    form: the largest k within the base's beta budget (every k for the empty
-    base, whose budget never runs out).  Capped at n1[i].  Computed afresh on
-    every call; `cached_norm0` remembers it in the tree's memo.
+    instance no member wins; the order of the instances does not matter.  It
+    ends by itself: once k exceeds both counts, the one instance left forbids
+    every value on every relevant point, and only a member without new points
+    -- the base -- can win it.  So a value range without its base stops
+    there, and one with its base has a closed form: the largest k within the
+    base's beta budget (every k for the empty base, whose budget never runs
+    out).  Capped at n1[i].  Computed afresh on every call; `cached_norm0`
+    remembers it in the tree's memo.
     """
     if validate:
         rep = validate_creature(c, params, tree)
@@ -187,14 +195,17 @@ def norm0(
     i = c.i
     cap, n2i = params.n1[i], params.n2[i]
     base_dom = c.base.domset()
-    # per-member new points with their values
+    # per member: its size and its new points as (node bit, value bit)
     members = []
+    relevant = values_mask = 0
     for eta in c.valrange:
-        news = tuple((x, v) for x, v in eta.pairs if x not in base_dom)
+        news = [(1 << x, 1 << v) for x, v in eta.pairs if x not in base_dom]
+        for node_bit, value_bit in news:
+            relevant |= node_bit
+            values_mask |= value_bit
         members.append((len(eta), news))
-    relevant = frozenset(x for _, news in members for x, _ in news)
-    values = sorted({v for _, news in members for _, v in news})
-    traces = sorted({frozenset(set(b) & relevant) for b in tree.branches()}, key=sorted)
+    values = [1 << v for v in range(values_mask.bit_length()) if values_mask >> v & 1]
+    traces = sorted({mask & relevant for mask in tree.branch_masks()})
 
     if not traces:
         # no branches at all: every instance is vacuous, so only the cap applies
@@ -205,20 +216,27 @@ def norm0(
             return cap
         return min(cap, log2floor_ratio(n2i, size)) if size <= n2i else 0
 
-    def alpha_ok(news: tuple[tuple[int, int], ...], union: frozenset[int], a: frozenset[int]) -> bool:
-        return all(v not in a for x, v in news if x in union)
+    def alpha_ok(hit: int, a: int) -> bool:
+        return not hit & a
 
     for k in range(1, cap + 1):
         t = min(k, len(traces))
-        a_size = min(k, len(values))
-        unions = {frozenset().union(*combo) for combo in itertools.combinations(traces, t)}
+        unions = {functools.reduce(operator.or_, combo) for combo in itertools.combinations(traces, t)}
+        forbidden = [sum(a) for a in itertools.combinations(values, min(k, len(values)))]
         for union in unions:
-            for a_tuple in itertools.combinations(values, a_size):
-                a = frozenset(a_tuple)
-                if not any(
-                    (sz << k) <= n2i and alpha_ok(news, union, a)
-                    for sz, news in members
-                ):
+            # per member: its size and the values it puts on the union's new points
+            hits = []
+            for sz, news in members:
+                hit = 0
+                for node_bit, value_bit in news:
+                    if node_bit & union:
+                        hit |= value_bit
+                hits.append((sz, hit))
+            for a in forbidden:
+                for sz, hit in hits:
+                    if (sz << k) <= n2i and alpha_ok(hit, a):
+                        break
+                else:
                     return k - 1
     return cap
 

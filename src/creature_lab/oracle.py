@@ -2,14 +2,19 @@
 
 Quantifies over every forbidden-value set a inside [0, n3[i]), every ordered
 branch tuple and every member, with no trace or value reduction.  Only the
-representation is compact: value sets and forbidden sets are int bitmasks.
-Over every ordered branch tuple, the forbidden-set quantifier is checked as
-"OR of the live members' avoider sets equals the whole family": bit j of a
-member's avoider set says that the j-th forbidden set misses its values, so
-an instance is lost exactly when some forbidden set is hit by every live
-member.  Families too large for a table are still checked one set at a time.
-Exponential; guarded by a work budget (CREATURE_LAB_BUDGET, default 10^8
-elementary steps).
+representation is compact.  The branches are read from `tree.branches()`
+here, apart from the node masks that `norm0` uses.  Each branch becomes one
+int: member j's field, n3[i] bits from bit j * n3[i], holds the value bits
+the member puts on the branch's new points (values >= n3[i] meet no
+forbidden set and are dropped).  An ordered branch tuple's fields are the OR
+of its branches' ints, the first k - 1 of them kept as a prefix while the
+last runs.  Forbidden sets are value masks too.  Over every ordered branch
+tuple, the forbidden-set quantifier is checked as "OR of the live members'
+avoider sets equals the whole family": bit j of a member's avoider set says
+that the j-th forbidden set misses its values, so an instance is lost
+exactly when some forbidden set is hit by every live member.  Families too
+large for a table are still checked one set at a time.  Exponential; guarded
+by a work budget (CREATURE_LAB_BUDGET, default 10^8 elementary steps).
 """
 
 from __future__ import annotations
@@ -46,16 +51,9 @@ def work_budget() -> int:
     return value
 
 
-def _instance_cost(branch_count: int, n3: int, k: int, val_size: int) -> int:
-    a_count = sum(math.comb(n3, j) for j in range(k + 1))
-    return max(branch_count, 1) ** k * a_count * val_size
-
-
-def _value_bits(values) -> int:
-    bits = 0
-    for v in values:
-        bits |= 1 << v
-    return bits
+def _a_count(n3: int, k: int) -> int:
+    """How many a inside [0, n3) have |a| <= k."""
+    return sum(math.comb(n3, j) for j in range(k + 1))
 
 
 def _a_masks(n3: int, k: int):
@@ -100,53 +98,61 @@ def oracle_norm0(
     n1i, n2i, n3i = params.n1[i], params.n2[i], params.n3[i]
     cap = n1i
     base_dom = c.base.domset()
-    branches = [frozenset(b) for b in tree.branches()]
+    branches = tree.branches()
     if not branches:
         return cap
-    # per branch, per member: the value bits the member puts on the branch's
-    # new points; a trace union's bits are the OR over its branches (two
-    # points may share a value, so the bits are ORed, never added)
-    branch_bits = [
-        [
-            _value_bits(v for x, v in eta.pairs if x in b and x not in base_dom)
-            for eta in c.valrange
-        ]
-        for b in branches
+    # per branch: one int of packed member fields (see the module docstring)
+    field = (1 << n3i) - 1
+    sizes = [len(eta) for eta in c.valrange]
+    # (node, value bit shifted into its member's field) for every new point
+    points = [
+        (x, (1 << v) << (j * n3i))
+        for j, eta in enumerate(c.valrange)
+        for x, v in eta.pairs
+        if x not in base_dom and v < n3i
     ]
+    packed_branches = []
+    for b in branches:
+        packed = 0
+        for x, bit in points:
+            if x in b:
+                packed |= bit
+        packed_branches.append(packed)
 
     def feasible(k: int) -> bool:
-        a_count = sum(math.comb(n3i, j) for j in range(k + 1))
-        cost = _instance_cost(len(branches), n3i, k, len(c.valrange))
+        a_count = _a_count(n3i, k)
+        cost = len(branches) ** k * a_count * len(sizes)
         if cost > budget:
             raise BudgetError(
                 f"oracle instance too large at k={k}: {cost} > budget {budget}"
             )
-        live = [j for j, eta in enumerate(c.valrange) if (len(eta) << k) <= n2i]
+        shifts = [j * n3i for j, sz in enumerate(sizes) if (sz << k) <= n2i]
         table = a_count <= A_MASK_TABLE_LIMIT
         full = (1 << a_count) - 1
-        for combo in itertools.product(branch_bits, repeat=k):
-            # each live member's value mask on the tuple: its bits ORed over it
-            member_bits = []
-            for j in live:
-                m = 0
-                for bits in combo:
-                    m |= bits[j]
-                member_bits.append(m)
-            if table:
-                # some forbidden set is hit by every live member exactly when
-                # the live members' avoider sets do not cover the family
-                won = 0
-                for m in member_bits:
-                    won |= _avoiders(n3i, k, m)
-                if won != full:
-                    return False
-                continue
-            for a in _a_masks(n3i, k):
-                for m in member_bits:
-                    if not m & a:
-                        break
-                else:
-                    return False
+        # every ordered k-tuple: the OR of its first k - 1 branches, kept while
+        # the last branch runs over all branches
+        for head in itertools.product(packed_branches, repeat=k - 1):
+            prefix = 0
+            for packed in head:
+                prefix |= packed
+            for last in packed_branches:
+                fields = prefix | last
+                if table:
+                    # some forbidden set is hit by every live member exactly
+                    # when the live members' avoider sets do not cover the family
+                    won = 0
+                    for shift in shifts:
+                        won |= _avoiders(n3i, k, fields >> shift & field)
+                    if won != full:
+                        return False
+                    continue
+                member_bits = [fields >> shift & field for shift in shifts]
+                for a in _a_masks(n3i, k):
+                    for m in member_bits:
+                        if not m & a:
+                            break
+                    else:
+                        return False
         return True
 
     best = 0

@@ -49,11 +49,8 @@ class SpecFn:
     def domset(self) -> frozenset[int]:
         return self._domset
 
-    def get(self, x: int) -> int:
-        for node, v in self.pairs:
-            if node == x:
-                return v
-        raise KeyError(x)
+    def pairset(self) -> frozenset[tuple[int, int]]:
+        return self._pairset
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)

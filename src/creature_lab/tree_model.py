@@ -20,12 +20,17 @@ _MISSING = object()
 class AmbientTree:
     """Immutable rooted forest with precomputed ancestor and branch data.
 
+    Branches and their node masks (bit x set for node x) are built on first
+    use and kept.
+
     The tree also owns a bounded memo of values derived from it (game norms,
     creature validations, the spec-function verdicts of condition clause (i)
     and the pairwise unions of clause (v)); it dies with the tree.
     """
 
-    __slots__ = ("width", "nodes", "parent", "_children", "_ancestors", "_branches", "_memo")
+    __slots__ = (
+        "width", "nodes", "parent", "_children", "_ancestors", "_branches", "_branch_masks", "_memo",
+    )
 
     def __init__(self, width: int, parent: dict[int, int], nodes: Iterable[int]):
         self.width = width
@@ -45,6 +50,7 @@ class AmbientTree:
             anc[x] = frozenset(chain)
         self._ancestors = anc
         self._branches: tuple[tuple[int, ...], ...] | None = None
+        self._branch_masks: tuple[int, ...] | None = None
         self._memo: dict = {}
 
     def level(self, x: int) -> int:
@@ -61,9 +67,6 @@ class AmbientTree:
 
     def roots(self) -> tuple[int, ...]:
         return tuple(x for x in self.nodes if x not in self.parent)
-
-    def ancestors(self, x: int) -> frozenset[int]:
-        return self._ancestors[x]
 
     def less(self, x: int, y: int) -> bool:
         """Strict tree order: x is a proper ancestor of y."""
@@ -89,6 +92,12 @@ class AmbientTree:
                             stack.append((c, path + (c,)))
             self._branches = tuple(sorted(out))
         return self._branches
+
+    def branch_masks(self) -> tuple[int, ...]:
+        """Each branch of `branches()` as a node mask: bit x set for node x."""
+        if self._branch_masks is None:
+            self._branch_masks = tuple(sum(1 << x for x in b) for b in self.branches())
+        return self._branch_masks
 
     def memoized(self, key, compute, *args):
         """compute(*args), remembered under `key` (a hashable value, never an id).

@@ -138,7 +138,7 @@ def _mutant_norm0(original: str, mutated: str):
         # the beta filter on member domain sizes is dropped
         ("(sz << k) <= n2i and alpha_ok", "alpha_ok"),
         # the last branch trace is dropped
-        ("for b in tree.branches()}, key=sorted)", "for b in tree.branches()}, key=sorted)[:-1]"),
+        ("for mask in tree.branch_masks()})", "for mask in tree.branch_masks()})[:-1]"),
     ],
     ids=["beta-filter", "branch-trace"],
 )

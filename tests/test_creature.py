@@ -197,6 +197,18 @@ WINDOW_FORESTS = [
 ]
 
 
+def _window_pool(wtree, window, bound):
+    """Criterion 1's pool: spec functions on the window with domains of size <= 2."""
+    pool = []
+    for r in (1, 2):
+        for nodes in itertools.combinations(window, r):
+            for vals in itertools.product(range(bound), repeat=r):
+                fn = SpecFn.make(dict(zip(nodes, vals)), bound=8)
+                if is_spec(wtree, fn, bound=8):
+                    pool.append(fn)
+    return pool
+
+
 def _oracle_cases(tree, params):
     """(creature, tree, params) for diagonal, random and window-pool creatures."""
     cases = []
@@ -214,13 +226,7 @@ def _oracle_cases(tree, params):
             cases.append((c, tree, params))
     g = make_growth(0, ((5,), (6,), (8,)))
     for wtree, window, bound in WINDOW_FORESTS:
-        pool = []
-        for r in (1, 2):
-            for nodes in itertools.combinations(window, r):
-                for vals in itertools.product(range(bound), repeat=r):
-                    fn = SpecFn.make(dict(zip(nodes, vals)), bound=8)
-                    if is_spec(wtree, fn, bound=8):
-                        pool.append(fn)
+        pool = _window_pool(wtree, window, bound)
         for size in (1, 2, 3):
             for combo in itertools.combinations(pool[:7], size):
                 c = SimpleCreature.make(0, EMPTY_FN, combo)
@@ -266,3 +272,84 @@ def test_oracle_budget_guard_message(tree, params):
         oracle_norm0(c, tree, params, budget=50_000, validate=False)
     assert str(err.value) == "oracle instance too large at k=3: 149500 > budget 50000"
     assert oracle_norm0(c, tree, params, validate=False) == 3
+
+
+def test_oracle_ignores_values_outside_n3(params):
+    # n3[0] = 8.  The first member's values 8 and 9 meet no forbidden set; in
+    # a packed field layout they must not spill into the second member's
+    # field as values 0 and 1.  The second member (size 1, live for k <= 2)
+    # then puts no value below 8 anywhere and wins every instance up to k = 2.
+    chain = build_tree(2, [(0, 2)])
+    g = make_growth(0, ((5,), (6,), (8,)))
+    c = SimpleCreature.make(0, EMPTY_FN, [SpecFn.make({0: 8, 2: 9}), SpecFn.make({0: 10})])
+    assert [len(eta) for eta in c.valrange] == [2, 1]
+    assert oracle_norm0(c, chain, g, validate=False) == 2
+
+
+def _clause_d_scan(c):
+    """Clause (d) as a pointwise scan: each new point of each member, in
+    order, against every member."""
+    base_dom = c.base.domset()
+    for eta1 in c.valrange:
+        d1 = eta1.as_dict()
+        for x in sorted(eta1.domset() - base_dom):
+            if all(x in eta2 and eta2.as_dict()[x] == d1[x] for eta2 in c.valrange):
+                return False, f"member {eta1} point {x}"
+    return True, ""
+
+
+def _clause_d_cases():
+    for wtree, window, bound in WINDOW_FORESTS:
+        pool = _window_pool(wtree, window, bound)
+        for size in (1, 2, 3):
+            for combo in itertools.combinations(pool, size):
+                yield SimpleCreature.make(0, EMPTY_FN, combo)
+    # random value ranges over a random base, valid or not; members draw
+    # from few nodes and values so that common pairs are frequent
+    rng = random.Random(11)
+    for _ in range(3000):
+        base = SpecFn.make({x: rng.randrange(3) for x in rng.sample(range(6), rng.randint(0, 2))})
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            m = {x: rng.randrange(3) for x in rng.sample(range(6), rng.randint(0, 4))}
+            if rng.random() < 0.5:
+                m.update(base.as_dict())
+            members.append(SpecFn.make(m))
+        yield SimpleCreature.make(rng.randint(0, 1), base, members)
+
+
+def test_clause_d_intersection_matches_pointwise_scan(tree):
+    verdicts = {True: 0, False: 0}
+    for c in _clause_d_cases():
+        got = clause_d_holds(c)
+        assert got == _clause_d_scan(c), c
+        verdicts[got[0]] += 1
+    assert min(verdicts.values()) > 1000, verdicts
+    rng = random.Random(5)
+    params = make_growth(0, ((9,), (16,), (12,)))
+    for _ in range(300):
+        c = random_creature(rng, tree, params, max_members=4, value_bound=8)
+        if c is not None:
+            assert clause_d_holds(c) == _clause_d_scan(c), c
+
+
+def test_work_budget_follows_the_variable(monkeypatch):
+    from creature_lab.errors import UsageError
+    from creature_lab.oracle import DEFAULT_BUDGET, work_budget
+
+    monkeypatch.delenv("CREATURE_LAB_BUDGET", raising=False)
+    assert work_budget() == DEFAULT_BUDGET
+    monkeypatch.setenv("CREATURE_LAB_BUDGET", "17")
+    assert work_budget() == 17
+    monkeypatch.setenv("CREATURE_LAB_BUDGET", "0")
+    assert work_budget() == 0
+    for bad in ("abc", "-1", "abc"):
+        monkeypatch.setenv("CREATURE_LAB_BUDGET", bad)
+        # every call raises, not only the first
+        for _ in range(2):
+            with pytest.raises(UsageError, match="CREATURE_LAB_BUDGET"):
+                work_budget()
+    monkeypatch.setenv("CREATURE_LAB_BUDGET", "17")
+    assert work_budget() == 17
+    monkeypatch.setenv("CREATURE_LAB_BUDGET", "")
+    assert work_budget() == DEFAULT_BUDGET

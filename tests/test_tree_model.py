@@ -85,3 +85,27 @@ def test_random_tree_deterministic_and_valid():
     assert t1.nodes == t2.nodes and t1.parent == t2.parent
     for child, par in t1.parent.items():
         assert t1.level(child) == t1.level(par) + 1
+
+
+def _mask_nodes(mask):
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        # criterion 1's three forests
+        build_tree(2, [(0, 2), (0, 3)]),
+        build_tree(3, [(0, 3), (0, 4), (3, 6), (3, 7), (1, 5), (5, 8)], nodes=[2]),
+        build_tree(3, [(0, 3), (1, 4), (1, 5), (4, 7)], nodes=[2]),
+        build_tree(2, [], nodes={0}),
+        build_tree(2, []),
+    ]
+    + [random_tree(4, 5, seed=s, root_count=1 + s % 3) for s in range(8)],
+)
+def test_branch_masks_match_branches(t):
+    # norm0 reads these masks; the oracle reads branches() itself, so a fault
+    # in the masks would show only here
+    masks = t.branch_masks()
+    assert [_mask_nodes(m) for m in masks] == branches_of(t)
+    assert t.branch_masks() is masks
