@@ -60,11 +60,8 @@ def _condition(doc: dict, tree, params, flag: str = ""):
     `flag` names the option the document came from when a command reads two.
     """
     p = fx.condition_from_fixture(_entry(doc, "conditions", 0))
-    rep = validate_condition(p, tree, params)
-    if not rep.ok:
-        f = rep.failures()[0]
-        where = f"{flag}: " if flag else ""
-        raise ValidationError(f"{where}conditions[0] is not a condition: {f.clause}: {f.witness}")
+    where = f"{flag}: " if flag else ""
+    validate_condition(p, tree, params).require(f"{where}conditions[0] is not a condition")
     return p
 
 

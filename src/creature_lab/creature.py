@@ -69,6 +69,12 @@ class ClauseReport:
     def failures(self) -> list[ClauseCheck]:
         return [c for c in self.checks if not c.ok]
 
+    def require(self, what: str) -> None:
+        """Raise ValidationError naming `what` and the first failing check."""
+        if not self.ok:
+            f = self.failures()[0]
+            raise ValidationError(f"{what}: {f.clause}: {f.witness}")
+
 
 def clause_d_holds(c: SimpleCreature) -> tuple[bool, str]:
     """Every new point of a member is contradicted or omitted by some member.
@@ -92,8 +98,9 @@ def validate_creature(
     params: GrowthSequences,
     tree: AmbientTree,
 ) -> ClauseReport:
-    """Clause-by-clause validation; clause (d) may be implied by norm0 > 0.
+    """Clause-by-clause validation of clauses (a)-(d); computes no norm.
 
+    Clause (d) is checked directly, by `clause_d_holds`, once (c) holds.
     Remembered in the tree's memo under (c, params).
     """
     return tree.memoized(("validate_creature", c, params), _validate_creature, c, params, tree)
@@ -148,13 +155,9 @@ def _validate_creature(
         ok_c, wit = False, f"|valrange| = {len(c.valrange)} not < n1[i] = {params.n1[i]}"
     checks.append(ClauseCheck("(c)", ok_c, wit))
 
-    # (d): checked directly only when norm0 gives no shortcut
     if ok_c:
-        if all(ch.ok for ch in checks) and cached_norm0(c, tree, params, validate=False) > 0:
-            checks.append(ClauseCheck("(d)", True, "implied by norm0 > 0"))
-        else:
-            ok_d, wit_d = clause_d_holds(c)
-            checks.append(ClauseCheck("(d)", ok_d, wit_d))
+        ok_d, wit_d = clause_d_holds(c)
+        checks.append(ClauseCheck("(d)", ok_d, wit_d))
     return ClauseReport(tuple(checks))
 
 
@@ -186,12 +189,11 @@ def norm0(
     there, and one with its base has a closed form: the largest k within the
     base's beta budget (every k for the empty base, whose budget never runs
     out).  Capped at n1[i].  Computed afresh on every call; `cached_norm0`
-    remembers it in the tree's memo.
+    remembers it in the tree's memo.  With `validate` it first requires c to
+    pass `validate_creature`, which never computes a norm.
     """
     if validate:
-        rep = validate_creature(c, params, tree)
-        if not rep.ok:
-            raise ValidationError(f"norm0 of invalid creature: {rep.failures()[0].clause}")
+        validate_creature(c, params, tree).require("norm0 of invalid creature")
     i = c.i
     cap, n2i = params.n1[i], params.n2[i]
     base_dom = c.base.domset()
@@ -241,23 +243,14 @@ def norm0(
     return cap
 
 
-def cached_norm0(
-    c: SimpleCreature,
-    tree: AmbientTree,
-    params: GrowthSequences,
-    validate: bool = True,
-) -> int:
-    """norm0, remembered in the tree's memo under (c, params).
+def cached_norm0(c: SimpleCreature, tree: AmbientTree, params: GrowthSequences) -> int:
+    """norm0 without validation, remembered in the tree's memo under (c, params).
 
-    norm0 itself stays uncached, so that criterion 1 compares its computation
-    with the oracle, and so that a copy rebuilt from its source (the planted
-    reduction bugs of the verification suite and of the benchmark's tests)
-    neither reads nor writes a memo.
+    The caller validates c first.  norm0 itself stays uncached, so that
+    criterion 1 compares its computation with the oracle, and so that a copy
+    rebuilt from its source (the planted reduction bugs of the verification
+    suite and of the benchmark's tests) neither reads nor writes a memo.
     """
-    if validate:
-        rep = validate_creature(c, params, tree)
-        if not rep.ok:
-            raise ValidationError(f"norm0 of invalid creature: {rep.failures()[0].clause}")
     return tree.memoized(("norm0", c, params), norm0, c, tree, params, False)
 
 
@@ -283,7 +276,7 @@ def norms(
 ) -> NormRecord:
     """All six norm values of a creature; the caller validates it first."""
     c = cplus.simple
-    n0 = cached_norm0(c, tree, params, validate=False)
+    n0 = cached_norm0(c, tree, params)
     ns = normstar(c, params)
     nh = min(n0, ns)
     return NormRecord(
@@ -297,4 +290,4 @@ def norms(
 
 
 def normhalf(c: SimpleCreature, tree: AmbientTree, params: GrowthSequences) -> int:
-    return min(cached_norm0(c, tree, params, validate=False), normstar(c, params))
+    return min(cached_norm0(c, tree, params), normstar(c, params))

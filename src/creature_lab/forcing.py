@@ -536,21 +536,15 @@ def classify(
 def fronts_of(p: ConditionFragment) -> list[tuple[SpecFn, ...]]:
     """All fronts: antichains met by every maximal branch (small fragments only)."""
     nodes = list(p.fns)
-    branches = p.maximal_branches()
-    out = []
-    for r in range(1, len(nodes) + 1):
-        for combo in itertools.combinations(nodes, r):
-            s = set(combo)
-            if any(
-                a != b and a.extends(b) for a in combo for b in combo
-            ):
-                continue
-            if all(any(fn in s for fn in br) for br in branches):
-                out.append(combo)
-    return out
+    return [
+        combo
+        for r in range(1, len(nodes) + 1)
+        for combo in itertools.combinations(nodes, r)
+        if is_front(p, combo)
+    ]
 
 
-def is_front(p: ConditionFragment, front: list[SpecFn]) -> bool:
+def is_front(p: ConditionFragment, front: list[SpecFn] | tuple[SpecFn, ...]) -> bool:
     s = set(front)
     if any(a != b and a.extends(b) for a in front for b in front):
         return False
@@ -564,7 +558,10 @@ def amalgamate(
     tree: AmbientTree,
     params: GrowthSequences,
 ) -> ConditionFragment:
-    """Glue same-root strengthenings of the cones over a front back onto p."""
+    """Glue same-root strengthenings of the cones over a front back onto p.
+
+    The result must be a condition above p; ValidationError otherwise.
+    """
     if not is_front(p, front):
         raise PreconditionError("given nodes are not a front of p")
     if len(front) != len(qs):
@@ -598,6 +595,9 @@ def amalgamate(
             parent[fn] = q.parent[fn]
             klabel[fn] = q.klabel[fn]
     out = ConditionFragment(parent=parent, klabel=klabel, coverage=None)
+    validate_condition(out, tree, params).require("amalgamate output invalid")
+    if isinstance(leq(p, out, tree, params), NotRelated):
+        raise ValidationError("amalgamate output is not above p")
     return out
 
 
@@ -617,7 +617,7 @@ def normalize(
         kids = p.children(fn)
         if not kids:
             return 10**9
-        own = cached_norm0(creature_at(p, fn, params), tree, params, validate=False)
+        own = cached_norm0(creature_at(p, fn, params), tree, params)
         m = min([own] + [walk(ch) for ch in kids])
         cone_min[fn] = m
         return m
@@ -673,9 +673,7 @@ def smoothen(
             klabel=dict(p.klabel),
             coverage=Coverage(k=0, alpha=alpha, u=frozenset()),
         )
-        rep = validate_condition(out, tree, params)
-        if not rep.ok:
-            raise ValidationError(f"smooth target invalid: {rep.failures()[0].clause}")
+        validate_condition(out, tree, params).require("smooth target invalid")
         return out
 
     if p.depth < 1:
@@ -690,7 +688,7 @@ def smoothen(
             if not p.children(eta):
                 continue
             c = creature_at(p, eta, params)
-            n0 = cached_norm0(c, tree, params, validate=False)
+            n0 = cached_norm0(c, tree, params)
             need = len(
                 set().union(*(missing_per_leaf[l] for l in _leaves_under(p, eta)))
             )
@@ -752,10 +750,7 @@ def smoothen(
     out = ConditionFragment(
         parent=parent, klabel=klabel, coverage=Coverage(k=0, alpha=alpha, u=frozenset())
     )
-    rep = validate_condition(out, tree, params)
-    if not rep.ok:
-        f = rep.failures()[0]
-        raise ValidationError(f"smoothen output invalid: {f.clause} {f.witness}")
+    validate_condition(out, tree, params).require("smoothen output invalid")
     if not leq_n(p, out, m, tree, params):
         raise ValidationError("smoothen output does not dominate the input at grade m")
     return out

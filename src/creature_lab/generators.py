@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .creature import SimpleCreature, validate_creature
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .forcing import ConditionFragment, Coverage, creature_at, validate_condition
 from .params import GrowthSequences, make_growth
 from .specfn import SpecFn, is_spec
@@ -155,9 +155,7 @@ def diagonal_creature(
             m[x] = value_band + j
         vr.append(SpecFn.make(m, bound=params.n3[i]))
     c = SimpleCreature.make(i, base, vr)
-    rep = validate_creature(c, params, tree)
-    if not rep.ok:
-        raise ValidationError(f"diagonal creature invalid: {rep.failures()[0].witness}")
+    validate_creature(c, params, tree).require("diagonal creature invalid")
     return c
 
 
@@ -203,10 +201,7 @@ def canonical_fragment(
                 new_frontier.append(ch)
         frontier = new_frontier
     frag = ConditionFragment(parent=parent, klabel=klabel, coverage=coverage)
-    rep = validate_condition(frag, tree, params)
-    if not rep.ok:
-        f = rep.failures()[0]
-        raise ValidationError(f"canonical fragment invalid: {f.clause} {f.witness}")
+    validate_condition(frag, tree, params).require("canonical fragment invalid")
     return frag
 
 
@@ -334,10 +329,7 @@ def extend_fragment(
             parent[new] = mapping[par] if par is not None else None
             klabel[new] = p.klabel[fn]
     out = ConditionFragment(parent=parent, klabel=klabel, coverage=None)
-    rep = validate_condition(out, tree, params)
-    if not rep.ok:
-        f = rep.failures()[0]
-        raise ValidationError(f"extension invalid: {f.clause} {f.witness}")
+    validate_condition(out, tree, params).require("extension invalid")
     return out
 
 

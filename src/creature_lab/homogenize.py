@@ -89,7 +89,7 @@ def purify(
     if not is_upward_closed(p, xset):
         raise PreconditionError("X is not upward closed in the fragment order")
     for eta in p.internal():
-        n0 = cached_norm0(creature_at(p, eta, params), tree, params, validate=False)
+        n0 = cached_norm0(creature_at(p, eta, params), tree, params)
         if n0 <= 0:
             raise PreconditionError(f"norm0 = 0 at {eta}; purify needs positive norms")
 
@@ -137,7 +137,7 @@ def purify(
         side0 = tuple(ch for ch in kids if colour[ch] == 0)
         side1 = tuple(ch for ch in kids if colour[ch] == 1)
         c = creature_at(p, fn, params)
-        n0 = cached_norm0(c, tree, params, validate=False)
+        n0 = cached_norm0(c, tree, params)
         target = (n0 + 1) // 2
         pick: tuple[SpecFn, ...] | None = None
         pick_colour = 0
@@ -145,7 +145,7 @@ def purify(
             if not side:
                 continue
             cand = SimpleCreature.make(c.i, c.base, side)
-            if cached_norm0(cand, tree, params, validate=False) >= target:
+            if cached_norm0(cand, tree, params) >= target:
                 pick, pick_colour = side, col
                 break
         if pick is None:
@@ -155,7 +155,7 @@ def purify(
             for side, col in ((side0, 0), (side1, 1)):
                 if side:
                     cand = SimpleCreature.make(c.i, c.base, side)
-                    n_side = cached_norm0(cand, tree, params, validate=False)
+                    n_side = cached_norm0(cand, tree, params)
                     if n_side >= 1 or validate_creature(cand, params, tree).ok:
                         scored.append((-n_side, col, side))
             if not scored:
@@ -190,10 +190,7 @@ def purify(
             alternatives[nu] = "disjoint"
 
     q = _subfragment(p, keep)
-    rep = validate_condition(q, tree, params)
-    if not rep.ok:
-        f = rep.failures()[0]
-        raise ValidationError(f"purify output invalid: {f.clause} {f.witness}")
+    validate_condition(q, tree, params).require("purify output invalid")
     if not leq_n(p, q, kstar, tree, params):
         raise ValidationError("purify output is not a graded extension at kstar")
     # compute the uniform inside level per inside-front element

@@ -31,13 +31,6 @@ def _require(cond: bool, clause: str, detail: str) -> None:
         raise PreconditionError(f"clause {clause}: {detail}")
 
 
-def _check_valid(c: SimpleCreature, params, tree, who: str) -> None:
-    rep = validate_creature(c, params, tree)
-    if not rep.ok:
-        bad = rep.failures()[0]
-        raise ValidationError(f"{who} produced an invalid creature: {bad.clause} {bad.witness}")
-
-
 def glue(
     c: SimpleCreature,
     extensions: dict[tuple[SpecFn, int], SpecFn],
@@ -52,6 +45,7 @@ def glue(
     domain-budget step of the construction exactly (2^m0 <= n2[i]/l*).
     """
     i = c.i
+    validate_creature(c, params, tree).require("norm0 of invalid creature")
     n0 = cached_norm0(c, tree, params)
     _require(n0 > 0, "(b)", f"norm0(c) = {n0} not > 0")
     _require(kstar > 1, "(c)", f"kstar = {kstar} not > 1")
@@ -94,7 +88,7 @@ def glue(
     d = SimpleCreature.make(
         i, c.base, [extensions[(eta, k)] for eta in c.valrange for k in range(kstar)]
     )
-    _check_valid(d, params, tree, "glue")
+    validate_creature(d, params, tree).require("glue produced an invalid creature")
     return OpResult(
         creature=d,
         bound=m0,
@@ -116,6 +110,7 @@ def fill(
     assigned to the sorted xs in increasing order.
     """
     i = c.i
+    validate_creature(c, params, tree).require("norm0 of invalid creature")
     k = cached_norm0(c, tree, params)
     m = len(xs)
     _require(k >= 1, "(b)", f"norm0(c) = {k} not >= 1")
@@ -191,7 +186,7 @@ def fill(
         per_eta_tuples[eta] = count
     d = SimpleCreature.make(i, c.base, new_members)
     _require(len(d.valrange) <= params.n1[i], "post", "output value range too large")
-    _check_valid(d, params, tree, "fill")
+    validate_creature(d, params, tree).require("fill produced an invalid creature")
     return OpResult(
         creature=d,
         bound=k - m,
@@ -211,6 +206,7 @@ def rebase(
     that fails is a clause (c) error, since dropping it could break the bound.
     """
     i = c.i
+    validate_creature(c, params, tree).require("norm0 of invalid creature")
     n0 = cached_norm0(c, tree, params)
     _require(n0 >= 1, "(b)", f"norm0(c) = {n0} not >= 1")
     _require(etastar.extends(c.base), "(c)", "etastar does not contain the base")
@@ -250,7 +246,7 @@ def rebase(
         )
         members.append(u)
     d = SimpleCreature.make(i, etastar, members)
-    _check_valid(d, params, tree, "rebase")
+    validate_creature(d, params, tree).require("rebase produced an invalid creature")
     return OpResult(
         creature=d,
         bound=n0 - l1 - l2,
@@ -265,6 +261,7 @@ def shrink_to_norm(
     params: GrowthSequences,
 ) -> OpResult:
     """A sub-value-range creature with norm0 exactly k (1 <= k <= norm0)."""
+    validate_creature(c, params, tree).require("norm0 of invalid creature")
     n0 = cached_norm0(c, tree, params)
     _require(1 <= k <= n0, "pre", f"need 1 <= k <= norm0(c) = {n0}, got {k}")
     current = c
@@ -276,7 +273,7 @@ def shrink_to_norm(
                 break
             rest = tuple(f for f in current.valrange if f != eta)
             cand = SimpleCreature.make(c.i, c.base, rest)
-            cand_norm = cached_norm0(cand, tree, params, validate=False)
+            cand_norm = cached_norm0(cand, tree, params)
             if cand_norm >= k:
                 current, cur_norm = cand, cand_norm
                 progressed = True
@@ -286,7 +283,7 @@ def shrink_to_norm(
                 "shrink_to_norm: stuck above the target norm "
                 f"(norm0 = {cur_norm}, target {k}); the value range has no removable member"
             )
-    _check_valid(current, params, tree, "shrink_to_norm")
+    validate_creature(current, params, tree).require("shrink_to_norm produced an invalid creature")
     return OpResult(creature=current, bound=k, trace={"start_norm": n0})
 
 
@@ -328,8 +325,8 @@ def bigness_split(
     else:
         c1 = SimpleCreature.make(simple.i, simple.base, val1)
         c2 = SimpleCreature.make(simple.i, simple.base, val2)
-        n1 = cached_norm0(c1, tree, params, validate=False)
-        n2 = cached_norm0(c2, tree, params, validate=False)
+        n1 = cached_norm0(c1, tree, params)
+        n2 = cached_norm0(c2, tree, params)
         side = 1 if n1 >= n2 else 2
         kept = c1 if side == 1 else c2
     result: SimpleCreature | Creature
@@ -338,8 +335,8 @@ def bigness_split(
     else:
         result = kept
     info = {
-        "norm0_kept": cached_norm0(kept, tree, params, validate=False),
-        "norm0_orig": cached_norm0(simple, tree, params, validate=False),
+        "norm0_kept": cached_norm0(kept, tree, params),
+        "norm0_orig": cached_norm0(simple, tree, params),
     }
     return SplitResult(side=side, creature=result, norms=info)
 
@@ -348,7 +345,6 @@ def bigness_split(
 class HalveResult:
     creature: Creature
     repaired: bool
-    kprime_default: int
     kprime: int
 
 
@@ -364,8 +360,8 @@ def halve(
     drop within one unit it is the best one for the recovery property (a half
     norm n' > k' must give back the original norm at k), since raising k'
     only shrinks the range of n' to be recovered.  For the lg shape it is
-    min(2k, normhalf - 1).  `kprime_default` is the shape's own witness;
-    `repaired` records that this witness would have broken the drop bound.
+    min(2k, normhalf - 1).  `repaired` records that the shape's own witness
+    (`halving_witness`) would have broken the drop bound.
     """
     c = cplus.simple
     nh = normhalf(c, tree, params)
@@ -383,6 +379,5 @@ def halve(
     return HalveResult(
         creature=Creature(simple=c, k=kp),
         repaired=repaired,
-        kprime_default=kd,
         kprime=kp,
     )

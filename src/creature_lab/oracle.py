@@ -25,7 +25,7 @@ import math
 import os
 
 from .creature import SimpleCreature, validate_creature
-from .errors import BudgetError, UsageError, ValidationError
+from .errors import BudgetError, UsageError
 from .params import GrowthSequences
 from .tree_model import AmbientTree
 
@@ -89,9 +89,7 @@ def oracle_norm0(
 ) -> int:
     """Reference norm0: full quantification, same n1[i] cap convention."""
     if validate:
-        rep = validate_creature(c, params, tree)
-        if not rep.ok:
-            raise ValidationError(f"oracle_norm0 of invalid creature: {rep.failures()[0].clause}")
+        validate_creature(c, params, tree).require("oracle_norm0 of invalid creature")
     if budget is None:
         budget = work_budget()
     i = c.i

@@ -218,7 +218,7 @@ def _check_norm_oracle(tree, params, c) -> SuiteOutcome:
 def _draw_glue(rng: random.Random):
     tree, params = _creature_context()
     c = random_creature(rng, tree, params, max_members=3, value_bound=8)
-    if c is None or cached_norm0(c, tree, params, validate=False) < 1:
+    if c is None or cached_norm0(c, tree, params) < 1:
         return None
     kstar = rng.randint(2, 3)
     if len(c.valrange) * kstar > params.n1[c.i] - 1:
@@ -266,7 +266,7 @@ def _check_glue(tree, params, c, extensions, kstar) -> SuiteOutcome:
     except PreconditionError:
         return _MISS
     d = res.creature
-    nd = cached_norm0(d, tree, params, validate=False)
+    nd = cached_norm0(d, tree, params)
     info: dict = {"bound": res.bound, "norm0_d": nd}
     if nd < res.bound:
         return _failed(c, info)
@@ -294,7 +294,7 @@ def _draw_fill(rng: random.Random):
     c = random_creature(rng, tree, params, max_members=3, value_bound=8)
     if c is None:
         return None
-    k = cached_norm0(c, tree, params, validate=False)
+    k = cached_norm0(c, tree, params)
     if k < 1:
         return None
     used = set()
@@ -317,14 +317,14 @@ def _draw_fill(rng: random.Random):
 
 
 def _check_fill(tree, params, c, xs) -> SuiteOutcome:
-    k = cached_norm0(c, tree, params, validate=False)
+    k = cached_norm0(c, tree, params)
     m = len(xs)
     try:
         res = fill(c, xs, tree, params)
     except PreconditionError:
         return _MISS
     d = res.creature
-    nd = cached_norm0(d, tree, params, validate=False)
+    nd = cached_norm0(d, tree, params)
     if nd < k - m:
         return _failed(c, {"xs": xs, "norm0_d": nd, "bound": k - m})
     if not all(all(x in nu for x in xs) for nu in d.valrange):
@@ -354,7 +354,7 @@ def _draw_rebase(rng: random.Random):
         c = diagonal_creature(1, base, sl, members, 5 + rng.randint(0, 4), params, tree)
     except (PreconditionError, ValidationError):
         return None
-    n0 = cached_norm0(c, tree, params, validate=False)
+    n0 = cached_norm0(c, tree, params)
     if n0 < 2:
         return None
     used = {base_node, *sl}
@@ -386,7 +386,7 @@ def _check_rebase(tree, params, c, etastar) -> SuiteOutcome:
     except (PreconditionError, ValidationError):
         return _MISS
     d = res.creature
-    nd = cached_norm0(d, tree, params, validate=False)
+    nd = cached_norm0(d, tree, params)
     if nd < res.bound:
         return _failed(c, {"norm0_d": nd, "bound": res.bound})
     if normstar(d, params) < normstar(c, params):
@@ -402,7 +402,7 @@ def _draw_shrink(rng: random.Random):
     c = random_creature(rng, tree, params, value_bound=8)
     if c is None:
         return None
-    n0 = cached_norm0(c, tree, params, validate=False)
+    n0 = cached_norm0(c, tree, params)
     if n0 < 1 or len(c.valrange) < 2:
         return None
     return tree, params, c, rng.randint(1, n0)
@@ -417,7 +417,7 @@ def _check_shrink(tree, params, c, k) -> SuiteOutcome:
         # PreconditionError: a smaller creature's norm0 fell below the target
         return _MISS
     sub = res.creature
-    if cached_norm0(sub, tree, params, validate=False) != k:
+    if cached_norm0(sub, tree, params) != k:
         return _failed(c, {"target": k})
     if not set(sub.valrange) <= set(c.valrange):
         return SuiteOutcome(False, True, {"not_subset": True})
@@ -444,8 +444,8 @@ def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict
         side2 = [m for j, m in enumerate(members) if not mask >> j & 1]
         c1 = SimpleCreature.make(c.i, c.base, side1)
         c2 = SimpleCreature.make(c.i, c.base, side2)
-        n01 = cached_norm0(c1, tree, params, validate=False)
-        n02 = cached_norm0(c2, tree, params, validate=False)
+        n01 = cached_norm0(c1, tree, params)
+        n02 = cached_norm0(c2, tree, params)
         nh1 = min(n01, normstar(c1, params))
         nh2 = min(n02, normstar(c2, params))
         out["splits"] += 1
@@ -570,7 +570,7 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
         if p.children(nu):
             cq = creature_at(q, eta, params)
             cp_ = creature_at(p, nu, params)
-            if cached_norm0(cq, tree, params, validate=False) > cached_norm0(cp_, tree, params, validate=False):
+            if cached_norm0(cq, tree, params) > cached_norm0(cp_, tree, params):
                 return SuiteOutcome(False, True, {"norm_monotone": str(eta)})
     info = {"strict_f": int(leq_strict_f(p, q, pr))}
     # transitivity through a restricted cone
@@ -639,8 +639,8 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
         return SuiteOutcome(False, True, {"grade": m})
     pr = leq(p, q, tree, params)
     for eta in q.internal():
-        n_new = cached_norm0(creature_at(q, eta, params), tree, params, validate=False)
-        n_old = cached_norm0(creature_at(p, pr(eta), params), tree, params, validate=False)
+        n_new = cached_norm0(creature_at(q, eta, params), tree, params)
+        n_old = cached_norm0(creature_at(p, pr(eta), params), tree, params)
         if log2ceil(n_new) < log2ceil(n_old) - 1:
             return SuiteOutcome(False, True, {"norm1_drop": (n_old, n_new)})
     return SuiteOutcome(True, True, {"m": m})
@@ -855,11 +855,11 @@ def _run_claim28(rng: random.Random) -> SuiteOutcome:
         return SuiteOutcome(False, True, {"normalize_leq": prn.clause})
     for fn in nq.internal():
         target = min(
-            cached_norm0(creature_at(p, rho, params), tree, params, validate=False)
+            cached_norm0(creature_at(p, rho, params), tree, params)
             for rho in p.cone_nodes(prn(fn))
             if p.children(rho)
         )
-        if cached_norm0(creature_at(nq, fn, params), tree, params, validate=False) != target:
+        if cached_norm0(creature_at(nq, fn, params), tree, params) != target:
             return SuiteOutcome(False, True, {"normalize_value": str(fn)})
     return SuiteOutcome(True, True, {})
 

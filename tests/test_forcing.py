@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from creature_lab.creature import norm0
-from creature_lab.errors import ConstructionError, PreconditionError
+from creature_lab.creature import norm0, normhalf
+from creature_lab.errors import ConstructionError, PreconditionError, ValidationError
 from creature_lab.forcing import (
     ConditionFragment,
     Coverage,
@@ -267,6 +267,19 @@ def test_amalgamate_strengthened_cones(ctx, frag):
         again = restrict(out, eta)
         assert set(again.fns) == set(q.fns)
         assert all(again.klabel[fn] == q.klabel[fn] for fn in q.fns)
+
+
+def test_amalgamate_rejects_a_label_above_the_half_norm(ctx, frag):
+    # leq lets labels grow, so the cone check passes; the amalgam is no condition
+    tree, params, _ = ctx
+    front = list(frag.level_nodes(1))
+    cones = [restrict(frag, eta) for eta in front]
+    eta = front[0]
+    raised = normhalf(creature_at(frag, eta, params), tree, params) + 1
+    cones[0] = ConditionFragment(parent=dict(cones[0].parent), klabel={**cones[0].klabel, eta: raised})
+    assert isinstance(leq(restrict(frag, eta), cones[0], tree, params), Projection)
+    with pytest.raises(ValidationError, match=r"^amalgamate output invalid: \(iv\) creatures and labels: klabel"):
+        amalgamate(frag, front, cones, tree, params)
 
 
 def test_amalgamate_rejects_non_front(ctx, frag):

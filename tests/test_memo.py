@@ -3,20 +3,28 @@ and the pairwise unions of condition clause (v).
 
 Every memoized value must equal the value computed on a cold copy of the
 tree (a fresh AmbientTree with the same width, edges and nodes, whose memo is
-empty), the key must separate growth sequences and clause-(d) modes, the memo
-must stay within its bound, and neither the plain norm0 nor the naive oracle
-may be cached.
+empty), the key must separate growth sequences, the memo must stay within its
+bound, and neither the plain norm0 nor the naive oracle may be cached.
+Validation computes no norm, and `cached_norm0` validates nothing.
 """
 
-import functools
 import itertools
 import pathlib
 import random
 
 import pytest
 
+from creature_lab import creature
 from creature_lab import fixtures as fx
-from creature_lab.creature import SimpleCreature, cached_norm0, clause_d_holds, norm0, normhalf, validate_creature
+from creature_lab.creature import (
+    ClauseCheck,
+    SimpleCreature,
+    cached_norm0,
+    clause_d_holds,
+    norm0,
+    normhalf,
+    validate_creature,
+)
 from creature_lab.forcing import ConditionFragment, creature_at, validate_condition
 from creature_lab.generators import (
     PROFILES,
@@ -114,20 +122,61 @@ def test_memoized_values_equal_cold_values(corpus):
         for c in creatures:
             warm = [validate_creature(c, params, tree) for _ in range(2)]
             assert warm[0] == warm[1] == validate_creature(c, params, _cold(tree))
-            last = warm[0].checks[-1]
-            if last.clause == "(d)":
-                # the norm0 > 0 shortcut agrees with checking clause (d) directly
-                assert last.ok == clause_d_holds(c)[0]
             if not warm[0].ok:
                 continue
-            for fn in (functools.partial(cached_norm0, validate=False), normhalf):
+            for fn in (cached_norm0, normhalf):
                 warm_vals = [fn(c, tree, params) for _ in range(2)]
                 assert warm_vals[0] == warm_vals[1] == fn(c, _cold(tree), params)
             plain = norm0(c, tree, params, validate=False)
-            assert cached_norm0(c, tree, params, validate=False) == plain
+            assert cached_norm0(c, tree, params) == plain
             compared += 1
             assert len(tree._memo) <= MEMO_LIMIT
     assert compared > 0
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_positive_norm0_implies_clause_d(corpus):
+    """The lemma that once let validation skip clause (d): on every corpus
+    creature that passes clauses (a)-(c), norm0 > 0 implies clause (d)."""
+    positive = 0
+    for tree, params, creatures in CORPORA[corpus]():
+        for c in creatures:
+            checks = validate_creature(c, params, tree).checks
+            if not all(ch.ok for ch in checks[:3]) or norm0(c, tree, params, validate=False) == 0:
+                continue
+            assert checks[3] == ClauseCheck("(d)", True) and clause_d_holds(c) == (True, "")
+            positive += 1
+    assert positive > 0
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "windows"])
+def test_validation_computes_no_norm(corpus, monkeypatch):
+    verdicts = set()
+    for tree, params, creatures in CORPORA[corpus]():
+        expected = [validate_creature(c, params, _cold(tree)) for c in creatures]
+        verdicts |= {rep.ok for rep in expected}
+        with monkeypatch.context() as m:
+            m.setattr(creature, "norm0", _raise)
+            m.setattr(creature, "cached_norm0", _raise)
+            cold = _cold(tree)
+            assert [validate_creature(c, params, cold) for c in creatures] == expected
+    # the window pools hold one-member creatures, which fail clause (d)
+    assert verdicts == ({True} if corpus == "fixtures" else {True, False})
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "windows"])
+def test_cached_norm0_validates_nothing(corpus, monkeypatch):
+    for tree, params, creatures in CORPORA[corpus]():
+        valid = [c for c in creatures if validate_creature(c, params, _cold(tree)).ok]
+        expected = [norm0(c, _cold(tree), params) for c in valid]
+        with monkeypatch.context() as m:
+            m.setattr(creature, "validate_creature", _raise)
+            cold = _cold(tree)
+            assert [cached_norm0(c, cold, params) for c in valid] == expected
 
 
 def test_one_tree_two_growth_sequences_keep_separate_entries():
@@ -150,7 +199,7 @@ def test_validate_creature_is_remembered_under_creature_and_params():
     c = diagonal_creature(0, EMPTY_FN, [0, 1], 3, 0, params, tree)
     rep = validate_creature(c, params, tree)
     assert rep.ok
-    assert rep.checks[-1].witness == "implied by norm0 > 0"
+    assert rep.checks[-1] == ClauseCheck("(d)", True)
     assert ("validate_creature", c, params) in tree._memo
     assert validate_creature(c, params, tree) is rep
 
@@ -180,7 +229,7 @@ def test_plain_norm0_adds_no_memo_entry():
     cold = _cold(tree)
     values = [norm0(c, cold, params, validate=False) for c in creatures]
     assert cold._memo == {}
-    assert values == [cached_norm0(c, cold, params, validate=False) for c in creatures]
+    assert values == [cached_norm0(c, cold, params) for c in creatures]
     assert len(cold._memo) == len(set(creatures))
 
 

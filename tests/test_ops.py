@@ -160,6 +160,19 @@ def test_rebase_identity(tree, params, four_member):
     assert res.bound == norm0(four_member, tree, params)
 
 
+def test_rebase_kind1_bound_is_attained():
+    # the proven bound norm0 - l1 - l2 is tight here, so a bound off by one shows
+    tree, g = chain_antichain_tree(), profile("ops")
+    base = SpecFn.make({0: 1, 1: 4, 2: 2, 3: 3, 6: 5, 7: 5, 8: 7})
+    members = [SpecFn.make({**base.as_dict(), 4: v}) for v in (0, 2, 3, 4, 5)]
+    c = SimpleCreature.make(1, base, members)
+    assert validate_creature(c, g, tree).ok and norm0(c, tree, g) == 4
+    res = rebase(c, SpecFn.make({**base.as_dict(), 5: 0}), tree, g)
+    assert (res.trace["l1"], res.trace["l2"], res.bound) == (0, 1, 3)
+    # nine points a member now: the beta budget 9 * 2^k <= n2[1] = 128 stops at k = 3
+    assert norm0(res.creature, tree, g) == res.bound
+
+
 def test_rebase_grow_kind1(tree):
     g = make_growth(1, ((3, 9), (3, 16), (6, 64)))
     base = SpecFn.make({0: 0})

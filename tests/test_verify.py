@@ -83,7 +83,7 @@ _PLANTED = {
     "shrink": ("shrink_to_norm", lambda real: lambda c, k, tree, params: OpResult(c, k, {})),
     # the ceiling-log 2-bigness defect is real: nothing needs planting
     "bigness": None,
-    "halving": ("halve", lambda real: lambda cplus, tree, params: HalveResult(cplus, False, cplus.k, cplus.k)),
+    "halving": ("halve", lambda real: lambda cplus, tree, params: HalveResult(cplus, False, cplus.k)),
 }
 
 
