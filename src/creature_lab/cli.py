@@ -263,6 +263,8 @@ def cmd_decide(args) -> int:
     if not ldoc["labelings"]:
         raise DomainError("no labeling in the fixture")
     values = fx.labeling_from_fixture(ldoc["labelings"][0], p)
+    if args.max_level is not None and args.max_level < 0:
+        raise DomainError(f"--max-level {args.max_level} is negative: no level can answer")
     res = decide(
         p, LeafLabeling(values), args.m, tree, params, default_shape(), max_level=args.max_level
     )

@@ -6,9 +6,13 @@ losing at most one unit of norm2 and norm per changed creature.  decide
 searches for a graded strengthening with a level whose cones are constant
 under a leaf labeling in three stages: the fragment itself, a greedy
 assembly of label-uniform subcones per level, and an exhaustive subfragment
-enumeration whose completion certifies not-found.  decide does not purify:
-against the set of constant-cone nodes, which holds every leaf, purify keeps
-the whole fragment, so it could only repeat the first stage.
+enumeration whose completion certifies not-found.  Each stage proposes keep
+sets, node sets of p that hold the root and every kept node's parent and
+whose leaves are leaves of p.  The label test runs first, on p and the keep
+set alone; only a candidate with a constant level is built as a fragment,
+validated and checked against p in the graded order.  decide does not
+purify: against the set of constant-cone nodes, which holds every leaf,
+purify keeps the whole fragment, so it could only repeat the first stage.
 """
 
 from __future__ import annotations
@@ -258,6 +262,43 @@ def _cone_labels(p: ConditionFragment, fn: SpecFn, label: LeafLabeling) -> set[i
     }
 
 
+def _cone_leaf_labels(
+    p: ConditionFragment, label: LeafLabeling
+) -> dict[SpecFn, tuple[tuple[SpecFn, int], ...]]:
+    """Each node of p -> the (leaf, label) pairs of the leaves in its cone."""
+    out: dict[SpecFn, tuple[tuple[SpecFn, int], ...]] = {}
+    for fn in reversed(p.fns):
+        kids = p.children(fn)
+        if kids:
+            out[fn] = tuple(pair for ch in kids for pair in out[ch])
+        else:
+            out[fn] = ((fn, label.values[fn]),)
+    return out
+
+
+def _keep_constant_level(
+    p: ConditionFragment,
+    keep: set[SpecFn],
+    cone_leaves: dict[SpecFn, tuple[tuple[SpecFn, int], ...]],
+    cutoff: int,
+) -> int | None:
+    """The least level <= cutoff whose cones are label-constant in
+    _subfragment(p, keep), read from p alone, or None.
+
+    keep must hold p's root and each kept node's parent, and its leaves must
+    be leaves of p: then a kept node's cone in the subfragment is its cone in
+    p cut down to keep, and the subfragment's depth is the last level with a
+    kept node.  cone_leaves is _cone_leaf_labels(p, label).
+    """
+    for lv in range(cutoff + 1):
+        kept = [fn for fn in p.level_nodes(lv) if fn in keep]
+        if not kept:
+            return None
+        if all(len({v for leaf, v in cone_leaves[fn] if leaf in keep}) == 1 for fn in kept):
+            return lv
+    return None
+
+
 def _uniform_subcone(
     p: ConditionFragment,
     fn: SpecFn,
@@ -355,44 +396,47 @@ def decide(
 
     In a finite truncation the leaf level decides trivially (one branch per
     leaf), so max_level is the real content of the search; it defaults to the
-    leaf level, matching the unbounded conclusion's shape.  Three stages, in
-    order: p itself (trivial constancy), greedy uniform-subcone assembly per
-    level, then exhaustive subfragment search.  Every candidate but p must be
-    a condition with p <=_m q; the first with a constant level answers, and
-    not-found carries the certificate that the exhaustive pass completed.
+    leaf level, matching the unbounded conclusion's shape, and a negative
+    max_level is a DomainError, since no level can answer it.  Three stages,
+    in order: p itself (trivial constancy), greedy uniform-subcone assembly
+    per level, then exhaustive subfragment search.  Each stage yields keep
+    sets; the label test runs on p and the keep set first, and only a
+    candidate with a constant level is built, validated and leq_n-checked:
+    every answer but p must be a condition with p <=_m q.  The first that
+    passes answers, and not-found carries the certificate that the
+    exhaustive pass completed.
 
     `shape` is not read: the norm shape is fixed (`params.NormShape`).  The
     slot stays because the benchmark's `decide` workload and its tests fill
     it positionally; they pass `default_shape()`.
     """
     label.check_total(p)
+    if max_level is not None and max_level < 0:
+        raise DomainError(f"max_level {max_level} is negative: no level can answer")
     cutoff = p.depth if max_level is None else max_level
+    cone_leaves = _cone_leaf_labels(p, label)
 
     def candidates():
-        """(q, stage, searched) in stage order."""
-        yield p, "trivial", 0
-        for q in _greedy_candidates(p, label, cutoff, tree, params):
-            yield q, "greedy", 0
+        """(keep, stage, searched) in stage order."""
+        yield set(p.fns), "trivial", 0
+        for keep in _greedy_candidates(p, label, cutoff, tree, params):
+            yield keep, "greedy", 0
         for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
-            yield _subfragment(p, keep), "exhaustive", searched
-
-    def constant_level(q: ConditionFragment) -> int | None:
-        for lv in range(min(cutoff, q.depth) + 1):
-            if all(len(_cone_labels(q, fn, label)) == 1 for fn in q.level_nodes(lv)):
-                return lv
-        return None
+            yield keep, "exhaustive", searched
 
     searched = 0
-    for q, stage, searched in candidates():
-        # p <=_m p needs no check
-        if q is not p and not (
-            validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params)
-        ):
+    for keep, stage, searched in candidates():
+        lv = _keep_constant_level(p, keep, cone_leaves, cutoff)
+        if lv is None:
             continue
-        lv = constant_level(q)
-        if lv is not None:
-            table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lv)}
-            return DecideResult(True, q, lv, table, stage == "exhaustive", searched, stage)
+        if stage == "trivial":
+            q = p  # p <=_m p needs no check
+        else:
+            q = _subfragment(p, keep)
+            if not (validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params)):
+                continue
+        table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lv)}
+        return DecideResult(True, q, lv, table, stage == "exhaustive", searched, stage)
     return DecideResult(False, None, None, {}, True, searched, "exhaustive")
 
 
@@ -403,9 +447,10 @@ def _greedy_candidates(
     tree: AmbientTree,
     params: GrowthSequences,
 ):
-    """Per level up to the cutoff, the fragment that keeps every lower node
-    and a value-uniform maximal subcone above each node of that level; the
-    delta-system of the leaf domains orders the value candidates."""
+    """Per level up to the cutoff, the keep set of every lower node and a
+    value-uniform maximal subcone above each node of that level; the
+    delta-system of the leaf domains orders the value candidates.  decide
+    tests each keep set's labels before it builds the subfragment."""
     for lv in range(1, min(cutoff, p.depth) + 1):
         keep: set[SpecFn] = set()
         for fn in p.level_nodes(lv):
@@ -420,7 +465,7 @@ def _greedy_candidates(
         else:
             for l2 in range(lv):
                 keep.update(p.level_nodes(l2))
-            yield _subfragment(p, keep)
+            yield keep
 
 
 def _candidate_values(

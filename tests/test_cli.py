@@ -360,3 +360,14 @@ def test_fragment_that_is_not_a_condition_is_rejected(tmp_path, capsys, argv, fl
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {flag}conditions[0] is not a condition: {_NAMED[broken]}\n"
+
+
+def test_decide_negative_max_level_is_an_error(capsys):
+    """No level is negative, so decide refuses before it searches."""
+    from creature_lab.cli import main
+
+    conditions = str(FIXDIR / "conditions.json")
+    assert main(["decide", "--p", conditions, "--m", "0", "--max-level", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--max-level -1" in out.err and "Traceback" not in out.err

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from creature_lab.creature import SimpleCreature, normhalf, validate_creature
+from creature_lab import homogenize
+from creature_lab.creature import (
+    ClauseCheck,
+    ClauseReport,
+    SimpleCreature,
+    normhalf,
+    validate_creature,
+)
 from creature_lab.errors import DomainError, PreconditionError
 from creature_lab.forcing import creature_at, leq, leq_n, validate_condition
 from creature_lab.generators import (
@@ -16,8 +23,13 @@ from creature_lab.generators import (
     wide_tree,
 )
 from creature_lab.homogenize import (
+    DecideResult,
     LeafLabeling,
     _cone_labels,
+    _cone_leaf_labels,
+    _greedy_candidates,
+    _keep_constant_level,
+    _subfragment,
     _valid_subfragments,
     decide,
     halve_below,
@@ -236,6 +248,18 @@ def test_decide_requires_total_labeling(ctx, frag):
         decide(frag, LeafLabeling({}), 0, tree, params, shape)
 
 
+def test_decide_refuses_a_negative_max_level(ctx, frag, monkeypatch):
+    tree, params, shape = ctx
+    label = LeafLabeling({leaf: 5 for leaf in frag.leaves()})
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched for a level that cannot exist")
+
+    monkeypatch.setattr(homogenize, "_valid_subfragments", no_search)
+    with pytest.raises(DomainError, match="max_level -1 is negative"):
+        decide(frag, label, 0, tree, params, shape, max_level=-1)
+
+
 def _reference_subfragments(p, frozen_levels, tree, params):
     """Reference enumeration without sharing: a cone's options are rebuilt
     for every sibling subset that holds its root."""
@@ -334,3 +358,151 @@ def test_decide_records_the_stage_that_answered(name):
         assert (res.stage, res.found) == (stage, found), stage
         assert res.exhaustive == (stage == "exhaustive")
         assert (res.searched > 0) == (stage == "exhaustive")
+
+
+# -- the label test on keep sets --------------------------------------------
+
+FRAGMENT_NAMES = ("2x2", "2x3", "3x3", "3x4", "2x2x3")
+
+
+def _labelings(p):
+    """Planted, separating and two seeded random labellings of p."""
+    out = {
+        "planted": _last_level_labels(p, planted=True),
+        "separating": _last_level_labels(p, planted=False),
+    }
+    for seed, values in ((0, 2), (1, 3)):
+        out[f"random {seed}"] = LeafLabeling(random_labeling(random.Random(seed), p, values=values))
+    return out
+
+
+def _fragment_constant_level(q, label, cutoff):
+    """The constancy test on a built fragment, as decide ran it on every
+    candidate before the label test moved to keep sets."""
+    for lv in range(min(cutoff, q.depth) + 1):
+        if all(len(_cone_labels(q, fn, label)) == 1 for fn in q.level_nodes(lv)):
+            return lv
+    return None
+
+
+@pytest.mark.parametrize("name", FRAGMENT_NAMES)
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_keep_set_constancy_matches_the_built_fragment(name, m):
+    p, tree, params = _fragment(name)
+    labelings = _labelings(p)
+    cutoffs = range(p.depth + 2)
+    keeps = [set(p.fns)]
+    for label in labelings.values():
+        for cutoff in cutoffs:
+            keeps.extend(_greedy_candidates(p, label, cutoff, tree, params))
+    keeps.extend(_valid_subfragments(p, m + 1, tree, params))
+    cone_leaves = {kind: _cone_leaf_labels(p, label) for kind, label in labelings.items()}
+    found = 0
+    for keep in keeps:
+        q = _subfragment(p, keep)
+        for kind, label in labelings.items():
+            for cutoff in cutoffs:
+                expected = _fragment_constant_level(q, label, cutoff)
+                got = _keep_constant_level(p, keep, cone_leaves[kind], cutoff)
+                assert got == expected, (kind, cutoff, sorted(f.pairs for f in keep))
+                found += expected is not None
+    assert found > 0
+
+
+def _validate_first_decide(p, label, m, tree, params, max_level=None):
+    """decide's candidate loop with the label test last: every candidate is
+    built, validated and leq_n-checked before its cones are read."""
+    cutoff = p.depth if max_level is None else max_level
+
+    def candidates():
+        yield p, "trivial", 0
+        for keep in _greedy_candidates(p, label, cutoff, tree, params):
+            yield _subfragment(p, keep), "greedy", 0
+        for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
+            yield _subfragment(p, keep), "exhaustive", searched
+
+    searched = 0
+    for q, stage, searched in candidates():
+        if q is not p and not (
+            validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params)
+        ):
+            continue
+        lv = _fragment_constant_level(q, label, cutoff)
+        if lv is not None:
+            table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lv)}
+            return DecideResult(True, q, lv, table, stage == "exhaustive", searched, stage)
+    return DecideResult(False, None, None, {}, True, searched, "exhaustive")
+
+
+def _result_fields(res):
+    frag = None
+    if res.fragment is not None:
+        frag = (res.fragment.parent, res.fragment.klabel, res.fragment.coverage)
+    return (res.found, res.level, res.table, frag, res.exhaustive, res.searched, res.stage)
+
+
+def test_decide_matches_the_validate_first_loop():
+    rng = random.Random(13)
+    fragments = {name: _fragment(name) for name in FRAGMENT_NAMES}
+    labelings = {name: _labelings(p) for name, (p, _, _) in fragments.items()}
+    stages = set()
+    for _ in range(60):
+        name = rng.choice(FRAGMENT_NAMES)
+        p, tree, params = fragments[name]
+        kind = rng.choice(list(labelings[name]))
+        label = labelings[name][kind]
+        m = rng.choice((-1, 0, 1))
+        max_level = rng.choice((None, *range(p.depth + 2)))
+        case = (name, kind, m, max_level)
+        got = decide(p, label, m, tree, params, default_shape(), max_level=max_level)
+        ref = _validate_first_decide(p, label, m, tree, params, max_level=max_level)
+        assert _result_fields(got) == _result_fields(ref), case
+        stages.add((got.stage, got.found))
+    assert stages >= {("trivial", True), ("greedy", True), ("exhaustive", False)}
+
+
+@pytest.mark.parametrize("broken", ["validate_condition", "leq_n"])
+def test_every_built_candidate_is_checked(broken, monkeypatch):
+    """With validation or the graded order failing every candidate, only p
+    itself may answer: planted labellings that greedy answers go unfound."""
+    cases = [(*_fragment(name), cutoff) for name in ("2x3", "3x3", "3x4") for cutoff in (1, 2)]
+    def run(p, tree, params, cutoff):
+        label = _last_level_labels(p, planted=True)
+        return decide(p, label, 0, tree, params, default_shape(), max_level=cutoff)
+
+    plain = [run(*case).stage for case in cases]
+    assert "greedy" in plain and "trivial" in plain
+    failing = {
+        "validate_condition": lambda q, tree, params: ClauseReport(
+            (ClauseCheck("patched", False),)
+        ),
+        "leq_n": lambda p, q, m, tree, params: False,
+    }[broken]
+    monkeypatch.setattr(homogenize, broken, failing)
+    for case, before in zip(cases, plain):
+        res = run(*case)
+        if before == "trivial":
+            assert (res.found, res.stage) == (True, "trivial")
+        else:
+            assert (res.found, res.stage) == (False, "exhaustive")
+
+
+@pytest.mark.parametrize("name, m, searched", [("3x3", 0, 64), ("3x4", 1, 1)])
+def test_not_found_builds_and_validates_nothing(name, m, searched, monkeypatch):
+    """The benchmark's tail group: on a separating labelling no keep set has
+    a constant level, so the search counts every keep set and never calls
+    validate_condition or leq_n."""
+    calls = {"validate_condition": 0, "leq_n": 0}
+    for fname in calls:
+        real = getattr(homogenize, fname)
+
+        def counted(*args, _real=real, _name=fname):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(homogenize, fname, counted)
+    p, tree, params = _fragment(name)
+    label = _last_level_labels(p, planted=False)
+    res = decide(p, label, m, tree, params, default_shape(), max_level=1)
+    assert (res.found, res.exhaustive, res.searched) == (False, True, searched)
+    assert calls == {"validate_condition": 0, "leq_n": 0}
