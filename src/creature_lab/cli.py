@@ -9,6 +9,7 @@ stderr.  Exit codes: 0 ok, 1 domain/check failure, 2 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import fixtures as fx
@@ -314,7 +315,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    It holds no `cmd_*` functions: `main` looks each subcommand's function up
+    by name when it runs, so a replaced `cli.cmd_*` is the one called.
+    """
     ap = argparse.ArgumentParser(prog="creature-lab", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -323,21 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--roots", type=int, default=1)
-    p.set_defaults(fn=cmd_gen_tree)
 
     p = sub.add_parser("gen-params", help="emit a growth-sequence fixture")
     p.add_argument("--growth", default="default", help="default | profile name | file:PATH")
-    p.set_defaults(fn=cmd_gen_params)
 
     p = sub.add_parser("enum-spec", help="enumerate specialization functions")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--nodes", type=int, nargs="+", required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(fn=cmd_enum_spec)
 
     p = sub.add_parser("norm", help="print the six norms of each creature")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("apply-op", help="apply a creature operation")
     p.add_argument("--op", required=True, choices=["glue", "fill", "rebase", "shrink", "split", "halve"])
@@ -346,54 +349,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--kstar", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--nodes", type=int, nargs="*", default=[])
-    p.set_defaults(fn=cmd_apply_op)
+    p.add_argument("--nodes", type=int, nargs="*", default=())
 
     p = sub.add_parser("check-condition", help="validate condition fragments")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(fn=cmd_check_condition)
 
     p = sub.add_parser("check-leq", help="compute the projection between two fragments")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.set_defaults(fn=cmd_check_leq)
 
     p = sub.add_parser("purify", help="restrict a fragment against an upward-closed set")
     p.add_argument("--p", required=True)
-    p.add_argument("--x", type=int, nargs="*", default=[], help="node indices into the fragment")
+    p.add_argument("--x", type=int, nargs="*", default=(), help="node indices into the fragment")
     p.add_argument("--kstar", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_purify)
 
     p = sub.add_parser("decide", help="find a level of label-constant cones")
     p.add_argument("--p", required=True)
     p.add_argument("--label", default=None)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--max-level", type=int, default=None)
-    p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("propcheck", help="run a property suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.set_defaults(fn=cmd_propcheck)
 
     p = sub.add_parser("report", help="summarize a fixture or suite report")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(fn=cmd_report)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0, None) else 0
     try:
         work_budget()
-        return args.fn(args)
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except UsageError as e:
         print(f"usage: {e}", file=sys.stderr)
         return USAGE_EXIT

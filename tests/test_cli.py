@@ -260,6 +260,69 @@ def test_cli_output_identical_with_warm_and_cold_memo():
         assert first[1].encode() == cold.stdout and first[0] == cold.returncode, argv
 
 
+_JOBS_ZERO = ["propcheck", "--suite", "growth", "--count", "3", "--seed", "1", "--jobs", "0"]
+
+
+def _in_process(argv, capsys):
+    from creature_lab.cli import main
+
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err.encode()
+
+
+def test_parser_is_built_once_per_process(capsys):
+    """20 in-process calls, usage errors among them, build one parser."""
+    from creature_lab import cli
+
+    cli.build_parser.cache_clear()
+    argvs = [
+        ["gen-params", "--growth", "cond2"],
+        ["gen-tree", "--width", "4", "--height", "3", "--seed", "9"],
+        ["report", "--in", str(FIXDIR / "creatures.json")],
+        _JOBS_ZERO,
+        ["frobnicate"],
+    ]
+    codes = [_in_process(argvs[j % len(argvs)], capsys)[0] for j in range(20)]
+    assert codes == [0, 0, 0, 64, 64] * 4
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_every_subcommand_has_a_cmd_function():
+    """`main` finds each subcommand's function by name; none may be missing."""
+    import argparse
+
+    from creature_lab import cli
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sub.choices
+    for name in sub.choices:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_"), None)), name
+
+
+def test_usage_errors_leave_the_parser_usable(monkeypatch, capsys):
+    """After usage errors in a process, a valid call prints what a fresh process prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (_JOBS_ZERO, ["frobnicate"]):
+        fresh = run_cli(*argv, check=False)
+        assert _in_process(argv, capsys) == (64, fresh.stdout, fresh.stderr)
+    for argv in (["norm", "--in", str(FIXDIR / "creatures.json")], ["gen-params"]):
+        fresh = run_cli(*argv)
+        assert _in_process(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_subcommands_are_looked_up_when_called(monkeypatch, capsys):
+    """A cmd_* function replaced after the parser exists is the one that runs."""
+    from creature_lab import cli
+
+    argv = ["report", "--in", str(FIXDIR / "creatures.json")]
+    assert _in_process(argv, capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.infile) or 7)
+    assert _in_process(argv, capsys) == (7, b"", b"")
+    assert seen == [argv[2]]
+
+
 def _mutations(doc, path=()):
     """Documents with one field of `doc` deleted or replaced by a wrong type.
 

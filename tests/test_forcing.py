@@ -24,6 +24,8 @@ from creature_lab.forcing import (
     validate_condition,
 )
 from creature_lab.generators import (
+    FragmentPlan,
+    canonical_fragment,
     depth2_fragment,
     extend_fragment,
     profile,
@@ -31,8 +33,9 @@ from creature_lab.generators import (
     smooth_target_fragment,
     two_level_tree,
 )
-from creature_lab.params import default_shape, log2ceil
+from creature_lab.params import default_shape, log2ceil, make_growth
 from creature_lab.specfn import EMPTY_FN, SpecFn
+from creature_lab.tree_model import build_tree
 
 
 @pytest.fixture
@@ -323,6 +326,42 @@ def test_smoothen_fills_missing_node(ctx):
         n_new = norm0(creature_at(q, eta, params), tree, params, validate=False)
         n_old = norm0(creature_at(p, pr(eta), params), tree, params, validate=False)
         assert log2ceil(n_new) >= log2ceil(n_old) - 1
+
+
+@pytest.mark.parametrize(
+    "branching, fill_level", [((3, 3, 3), 0), ((2, 3, 3), 1)], ids=["fill-0", "fill-1"]
+)
+def test_smoothen_grafts_below_the_fill_level(monkeypatch, branching, fill_level):
+    """A depth-3 fragment over 11 roots leaves out root 10.  The shallowest
+    level whose creatures have norm0 2 absorbs it; its children are internal,
+    so every creature below them is rebased onto the filled functions."""
+    import creature_lab.forcing as forcing_mod
+
+    n1 = (8, 64, 4096, 4096**2)
+    params = make_growth(3, (n1, n1, (16, 128, 3 * 4096, 4 * 4096**2)))
+    tree = build_tree(11, [], nodes=range(11))
+    slices = [[0], list(range(1, 9)), [9]]
+    p = canonical_fragment(tree, params, FragmentPlan(list(branching), slices, [1, 1, 1, 0]))
+    norms = [norm0(creature_at(p, fn, params), tree, params) for fn in p.level_nodes(fill_level)]
+    assert min(norms) == 2 and p.depth == 3
+    rebased = []
+    rebase = forcing_mod.rebase
+
+    def counted(c, *args):
+        rebased.append(c)
+        return rebase(c, *args)
+
+    monkeypatch.setattr(forcing_mod, "rebase", counted)
+    for m in (-1, 0):
+        rebased.clear()
+        q = smoothen(p, 1, m, tree, params)
+        assert rebased
+        assert validate_condition(q, tree, params).ok
+        assert leq_n(p, q, m, tree, params)
+        assert classify(q, tree, params).smooth
+        assert all(10 in leaf for leaf in q.leaves())
+        pr = leq(p, q, tree, params)
+        assert all(q.klabel[fn] == p.klabel[pr(fn)] for fn in q.fns)
 
 
 def test_smoothen_leaf_outside_segment_rejected(ctx):
