@@ -41,10 +41,13 @@ def _emit(doc) -> None:
     sys.stdout.write(fx.canonical_dumps(doc))
 
 
-def _load_params(doc: dict):
-    if doc.get("params"):
-        return fx.params_from_fixture(doc["params"])
-    return make_growth(2)
+def _read(*paths: str):
+    """The documents at `paths`, all loaded before the first one's tree and
+    params are read; a document without params has make_growth(2)."""
+    docs = [fx.load_document(path) for path in paths]
+    tree = fx.tree_from_fixture(docs[0]["tree"])
+    params = fx.params_from_fixture(docs[0]["params"]) if docs[0].get("params") else make_growth(2)
+    return (*docs, tree, params)
 
 
 def _entry(doc: dict, key: str, index: int) -> dict:
@@ -73,6 +76,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+# argparse names the type when int() rejects the text: keep "invalid int value"
+_nonnegative_int.__name__ = "int"
+
+
 def _growth_from_flag(flag: str):
     if flag == "default":
         return make_growth(2)
@@ -86,36 +100,25 @@ def _growth_from_flag(flag: str):
 
 def cmd_gen_tree(args) -> int:
     tree = random_tree(args.width, args.height, args.seed, root_count=args.roots)
-    doc = fx.empty_document()
-    doc["tree"] = fx.tree_to_fixture(tree)
-    _emit(doc)
+    _emit(fx.empty_document(tree=fx.tree_to_fixture(tree)))
     return 0
 
 
 def cmd_gen_params(args) -> int:
-    g = _growth_from_flag(args.growth)
-    doc = fx.empty_document()
-    doc["params"] = fx.params_to_fixture(g)
-    _emit(doc)
+    _emit(fx.empty_document(params=fx.params_to_fixture(_growth_from_flag(args.growth))))
     return 0
 
 
 def cmd_enum_spec(args) -> int:
     doc = fx.load_document(args.infile)
     tree = fx.tree_from_fixture(doc["tree"])
-    u = frozenset(args.nodes)
-    fns = enumerate_spec(tree, u, args.bound)
-    out = fx.empty_document()
-    out["tree"] = doc["tree"]
-    out["specfns"] = [fx.specfn_to_fixture(fn) for fn in fns]
-    _emit(out)
+    fns = enumerate_spec(tree, frozenset(args.nodes), args.bound)
+    _emit(fx.empty_document(tree=doc["tree"], specfns=[fx.specfn_to_fixture(fn) for fn in fns]))
     return 0
 
 
 def cmd_norm(args) -> int:
-    doc = fx.load_document(args.infile)
-    tree = fx.tree_from_fixture(doc["tree"])
-    params = _load_params(doc)
+    doc, tree, params = _read(args.infile)
     report = []
     for cdoc in doc["creatures"]:
         cplus = fx.creature_from_fixture(cdoc)
@@ -123,100 +126,58 @@ def cmd_norm(args) -> int:
         if not rep.ok:
             report.append({"valid": False, "clause": rep.failures()[0].clause})
             continue
-        rec = norms(cplus, tree, params)
-        report.append(
-            {
-                "valid": True,
-                "norm0": rec.norm0,
-                "normstar": rec.normstar,
-                "normhalf": rec.normhalf,
-                "norm1": rec.norm1,
-                "norm2": rec.norm2,
-                "norm": rec.norm,
-            }
-        )
+        report.append({"valid": True, **vars(norms(cplus, tree, params))})
     _emit({"norms": report})
     return 0
 
 
 def cmd_apply_op(args) -> int:
-    doc = fx.load_document(args.infile)
-    tree = fx.tree_from_fixture(doc["tree"])
-    params = _load_params(doc)
+    doc, tree, params = _read(args.infile)
     cplus = fx.creature_from_fixture(_entry(doc, "creatures", args.index))
     c = cplus.simple
-    out = fx.empty_document()
-    out["tree"] = doc["tree"]
-    out["params"] = doc["params"]
     meta: dict = {"op": args.op}
     if args.op == "glue":
-        exts = {}
-        for j, eta in enumerate(c.valrange):
-            for k in range(args.kstar):
-                exts[(eta, k)] = eta
+        exts = {(eta, k): eta for eta in c.valrange for k in range(args.kstar)}
         res = glue(c, exts, args.kstar, tree, params)
-        result = Creature(res.creature, cplus.k)
-        meta["bound"] = res.bound
     elif args.op == "fill":
         res = fill(c, args.nodes, tree, params)
-        result = Creature(res.creature, cplus.k)
-        meta["bound"] = res.bound
     elif args.op == "rebase":
         etastar = fx.specfn_from_fixture(doc["specfns"][0]) if doc["specfns"] else c.base
         res = rebase(c, etastar, tree, params)
-        result = Creature(res.creature, cplus.k)
-        meta["bound"] = res.bound
     elif args.op == "shrink":
         res = shrink_to_norm(c, args.k, tree, params)
-        result = Creature(res.creature, cplus.k)
-        meta["bound"] = res.bound
     elif args.op == "split":
         half = len(c.valrange) // 2 or 1
-        res = bigness_split(cplus, (list(c.valrange[:half]), list(c.valrange[half:])), tree, params)
-        result = res.creature if isinstance(res.creature, Creature) else Creature(res.creature, cplus.k)
+        res = bigness_split(c, (list(c.valrange[:half]), list(c.valrange[half:])), tree, params)
         meta["side"] = res.side
-    elif args.op == "halve":
+    else:  # halve
         res = halve(cplus, tree, params)
-        result = res.creature
-        meta["repaired"] = res.repaired
-        meta["kprime"] = res.kprime
-    else:
-        raise DomainError(f"unknown op {args.op!r}")
-    out["creatures"] = [fx.creature_to_fixture(result)]
+        meta.update(repaired=res.repaired, kprime=res.creature.k)
+    if args.op not in ("split", "halve"):
+        meta["bound"] = res.bound
+    result = res.creature if args.op == "halve" else Creature(res.creature, cplus.k)
+    creature = fx.creature_to_fixture(result)
     if args.out:
+        out = fx.empty_document(tree=doc["tree"], params=doc["params"], creatures=[creature])
         fx.save_document(args.out, out)
-    _emit({"result": meta, "creature": fx.creature_to_fixture(result)})
+    _emit({"result": meta, "creature": creature})
     return 0
 
 
 def cmd_check_condition(args) -> int:
-    doc = fx.load_document(args.infile)
-    tree = fx.tree_from_fixture(doc["tree"])
-    params = _load_params(doc)
+    doc, tree, params = _read(args.infile)
     results = []
     ok_all = True
     for cdoc in doc["conditions"]:
-        p = fx.condition_from_fixture(cdoc)
-        rep = validate_condition(p, tree, params)
+        rep = validate_condition(fx.condition_from_fixture(cdoc), tree, params)
         ok_all = ok_all and rep.ok
-        results.append(
-            {
-                "ok": rep.ok,
-                "checks": [
-                    {"clause": ch.clause, "ok": ch.ok, "witness": ch.witness}
-                    for ch in rep.checks
-                ],
-            }
-        )
+        results.append({"ok": rep.ok, "checks": [vars(ch) for ch in rep.checks]})
     _emit({"conditions": results})
     return 0 if ok_all else FAIL_EXIT
 
 
 def cmd_check_leq(args) -> int:
-    pdoc = fx.load_document(args.p)
-    qdoc = fx.load_document(args.q)
-    tree = fx.tree_from_fixture(pdoc["tree"])
-    params = _load_params(pdoc)
+    pdoc, qdoc, tree, params = _read(args.p, args.q)
     p = _condition(pdoc, tree, params, "--p")
     q = _condition(qdoc, tree, params, "--q")
     res = leq(p, q, tree, params)
@@ -229,9 +190,7 @@ def cmd_check_leq(args) -> int:
 
 
 def cmd_purify(args) -> int:
-    doc = fx.load_document(args.p)
-    tree = fx.tree_from_fixture(doc["tree"])
-    params = _load_params(doc)
+    doc, tree, params = _read(args.p)
     p = _condition(doc, tree, params)
     order = list(p.fns)
     bad = [j for j in args.x if not 0 <= j < len(order)]
@@ -239,26 +198,17 @@ def cmd_purify(args) -> int:
         raise DomainError(f"--x index {bad[0]} is out of range: the fragment has {len(order)} nodes")
     xset = frozenset(order[j] for j in args.x)
     res = purify(p, xset, args.kstar, tree, params)
-    out = fx.empty_document()
-    out["tree"] = doc["tree"]
-    out["params"] = doc["params"]
-    out["conditions"] = [fx.condition_to_fixture(res.fragment)]
+    condition = fx.condition_to_fixture(res.fragment)
     if args.out:
+        out = fx.empty_document(tree=doc["tree"], params=doc["params"], conditions=[condition])
         fx.save_document(args.out, out)
-    _emit(
-        {
-            "front": len(res.front),
-            "alternatives": sorted(res.alternatives.values()),
-            "condition": fx.condition_to_fixture(res.fragment),
-        }
-    )
+    alternatives = sorted(res.alternatives.values())
+    _emit({"front": len(res.front), "alternatives": alternatives, "condition": condition})
     return 0
 
 
 def cmd_decide(args) -> int:
-    doc = fx.load_document(args.p)
-    tree = fx.tree_from_fixture(doc["tree"])
-    params = _load_params(doc)
+    doc, tree, params = _read(args.p)
     p = _condition(doc, tree, params)
     ldoc = fx.load_document(args.label) if args.label else doc
     if not ldoc["labelings"]:
@@ -297,12 +247,18 @@ def cmd_report(args) -> int:
     doc = fx.load_document(args.infile)
     lines = []
     if "suite" in doc:
+        missing = [key for key in ("status", "premise_hits", "instances", "failures") if key not in doc]
+        if missing:
+            raise ConstructionError(f"suite report: missing field {missing[0]!r}")
+        stats = doc.get("stats", {})
+        if type(stats) is not dict:
+            raise ConstructionError("suite report: field 'stats' must be a JSON object")
         lines.append(
             f"suite {doc['suite']}: {doc['status']} "
             f"({doc['premise_hits']}/{doc['instances']} premise hits, "
             f"{doc['failures']} failures)"
         )
-        for key, val in sorted(doc.get("stats", {}).items()):
+        for key, val in sorted(stats.items()):
             lines.append(f"  {key}: {val}")
     else:
         for key in ("params", "tree"):
@@ -329,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--roots", type=int, default=1)
+    p.add_argument("--roots", type=_nonnegative_int, default=1)
 
     p = sub.add_parser("gen-params", help="emit a growth-sequence fixture")
     p.add_argument("--growth", default="default", help="default | profile name | file:PATH")
@@ -372,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propcheck", help="run a property suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_nonnegative_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
 

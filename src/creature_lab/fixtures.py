@@ -117,16 +117,12 @@ def tree_from_fixture(doc: dict) -> AmbientTree:
     )
 
 
-def creature_to_fixture(c: Creature | SimpleCreature) -> dict:
-    k = c.k if isinstance(c, Creature) else 1
-    simple = c.simple if isinstance(c, Creature) else c
+def creature_to_fixture(c: Creature) -> dict:
     return {
-        "i": simple.i,
-        "base": specfn_to_fixture(simple.base)["assignments"],
-        "valrange": sorted(
-            specfn_to_fixture(fn)["assignments"] for fn in simple.valrange
-        ),
-        "k": k,
+        "i": c.simple.i,
+        "base": specfn_to_fixture(c.simple.base)["assignments"],
+        "valrange": sorted(specfn_to_fixture(fn)["assignments"] for fn in c.simple.valrange),
+        "k": c.k,
     }
 
 
@@ -198,7 +194,8 @@ def labeling_from_fixture(doc: dict, p: ConditionFragment) -> dict[SpecFn, int]:
     return {order[j]: v for j, v in values}
 
 
-def empty_document() -> dict:
+def empty_document(**fields) -> dict:
+    """A document with every top-level key, empty but for `fields`."""
     return {
         "params": None,
         "tree": None,
@@ -206,6 +203,7 @@ def empty_document() -> dict:
         "creatures": [],
         "conditions": [],
         "labelings": [],
+        **fields,
     }
 
 

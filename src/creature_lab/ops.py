@@ -290,12 +290,12 @@ def shrink_to_norm(
 @dataclass
 class SplitResult:
     side: int
-    creature: SimpleCreature | Creature
+    creature: SimpleCreature
     norms: dict
 
 
 def bigness_split(
-    c: SimpleCreature | Creature,
+    c: SimpleCreature,
     parts: tuple[list[SpecFn], list[SpecFn]],
     tree: AmbientTree,
     params: GrowthSequences,
@@ -309,11 +309,11 @@ def bigness_split(
     drop by 2: at norm0 = 2^m + 1 (ceiling-log m + 1) the guaranteed half is
     2^(m-1) (ceiling-log m - 1), and norm0 3 splitting into 1 and 1 occurs.
     """
-    simple = c.simple if isinstance(c, Creature) else c
+    validate_creature(c, params, tree).require("split of invalid creature")
     val1, val2 = (tuple(sorted(set(p), key=lambda f: f.pairs)) for p in parts)
     union = set(val1) | set(val2)
     _require(
-        union == set(simple.valrange),
+        union == set(c.valrange),
         "pre",
         "parts do not cover the value range exactly",
     )
@@ -321,31 +321,25 @@ def bigness_split(
         return SplitResult(side=1, creature=c, norms={})
     if not val1:
         side = 2
-        kept = SimpleCreature.make(simple.i, simple.base, val2)
+        kept = SimpleCreature.make(c.i, c.base, val2)
     else:
-        c1 = SimpleCreature.make(simple.i, simple.base, val1)
-        c2 = SimpleCreature.make(simple.i, simple.base, val2)
+        c1 = SimpleCreature.make(c.i, c.base, val1)
+        c2 = SimpleCreature.make(c.i, c.base, val2)
         n1 = cached_norm0(c1, tree, params)
         n2 = cached_norm0(c2, tree, params)
         side = 1 if n1 >= n2 else 2
         kept = c1 if side == 1 else c2
-    result: SimpleCreature | Creature
-    if isinstance(c, Creature):
-        result = Creature(simple=kept, k=c.k)
-    else:
-        result = kept
     info = {
         "norm0_kept": cached_norm0(kept, tree, params),
-        "norm0_orig": cached_norm0(simple, tree, params),
+        "norm0_orig": cached_norm0(c, tree, params),
     }
-    return SplitResult(side=side, creature=result, norms=info)
+    return SplitResult(side=side, creature=kept, norms=info)
 
 
 @dataclass
 class HalveResult:
     creature: Creature
     repaired: bool
-    kprime: int
 
 
 def halve(
@@ -364,6 +358,7 @@ def halve(
     (`halving_witness`) would have broken the drop bound.
     """
     c = cplus.simple
+    validate_creature(c, params, tree).require("halve of invalid creature")
     nh = normhalf(c, tree, params)
     k = cplus.k
     if not NormShape.norm_geq(nh, k, 1):
@@ -376,8 +371,4 @@ def halve(
     )
     if kp is None:
         raise PreconditionError("halve: no counter satisfies the drop bound")
-    return HalveResult(
-        creature=Creature(simple=c, k=kp),
-        repaired=repaired,
-        kprime=kp,
-    )
+    return HalveResult(creature=Creature(simple=c, k=kp), repaired=repaired)

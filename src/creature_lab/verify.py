@@ -427,9 +427,10 @@ def _check_shrink(tree, params, c, k) -> SuiteOutcome:
 # -- suite: bigness ----------------------------------------------------------
 
 
-def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict:
+def _bigness_violations(c: SimpleCreature, tree, params) -> dict:
     """Exhaustive bipartition check of the three norm variants, both log
-    conventions for the integer norms.  Returns violation counts."""
+    conventions for the integer norms and the shape norm at counters 1 and 2.
+    Returns violation counts."""
     rec = norms(Creature(c, 1), tree, params)
     out = {"norm1_ceil": 0, "norm2_ceil": 0, "norm1_floor": 0, "norm": 0, "splits": 0}
     members = c.valrange
@@ -458,7 +459,7 @@ def _bigness_violations(c: SimpleCreature, tree, params, klabels=(1, 2)) -> dict
         for k in range(0, floorlog(n0_all)):
             if floorlog(n0_all) >= k + 1 and not (floorlog(n01) >= k or floorlog(n02) >= k):
                 out["norm1_floor"] += 1
-        for kl in klabels:
+        for kl in (1, 2):
             f_all = NormShape.f(nh_all, kl)
             for k in range(0, int(f_all)):
                 if f_all >= k + 1 and not (NormShape.f(nh1, kl) >= k or NormShape.f(nh2, kl) >= k):
@@ -510,7 +511,7 @@ def _check_halving(tree, params, c, k) -> SuiteOutcome:
     if not NormShape.norm_geq(nh, k, 1) or nh - k < 2:
         return _MISS
     res = halve(Creature(c, k), tree, params)
-    info = {"repaired": int(res.repaired), "kprime": res.kprime}
+    info = {"repaired": int(res.repaired), "kprime": res.creature.k}
     if res.creature.simple != c:
         return SuiteOutcome(False, True, {"simple_changed": True})
     if not res.creature.k > k:
@@ -842,7 +843,7 @@ def _run_claim28(rng: random.Random) -> SuiteOutcome:
     pr = leq(p, cone, tree, params)
     if isinstance(pr, NotRelated):
         return SuiteOutcome(False, True, {"cone_leq": pr.clause})
-    alt = _count_projections(p, cone, tree, params)
+    alt = _count_projections(p, cone, params)
     if alt != 1:
         return SuiteOutcome(False, True, {"uniqueness": alt})
     # normalize: cone-min leveling
@@ -864,7 +865,7 @@ def _run_claim28(rng: random.Random) -> SuiteOutcome:
     return SuiteOutcome(True, True, {})
 
 
-def _count_projections(p, q, tree, params) -> int:
+def _count_projections(p, q, params) -> int:
     """Exhaustively count clause-(a)-(f) maps q -> p (small fragments)."""
     levels_p = {fn: p.level_of(fn) for fn in p.fns}
     shift = kind_of(q, params) - kind_of(p, params)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -271,6 +272,40 @@ def _in_process(argv, capsys):
     return code, out.out.encode(), out.err.encode()
 
 
+# sha256 of exit code, stdout and stderr over `_fixture_commands()`, one per
+# subcommand (per op for apply-op), and of `--help` at 80 columns; taken
+# before `apply-op` lost its per-op result branches
+_CLI_GOLDEN = {
+    "gen-tree": "32780ae212a9dd843830f25544c6aff9a5991aa154815ded885699aa9b966357",
+    "gen-params": "3d0626ee3cd9f1312c9ab008ed1d2850fa5b311559b099d66db606298615c8e8",
+    "enum-spec": "80c4e31eff0c443556d6c07044cc57da939141ee7a7261ed07d06a62be9dcf97",
+    "norm": "b1176b3d586dc47fee7571b01f60743f84fa5f700923a745aea35790e600448b",
+    "check-condition": "f5421b109f375d10fbe9d1d799572925b94b655bb0674e11d34b8d27d5bba959",
+    "check-leq": "5cc9baa02030c314eaa25bcb7676eb911ce2670c98b2a2f1d59b8072e2a5f284",
+    "purify": "f60fffca3b25f44fa0854898626e4329a6df5ca1b4726c36d06c3089666f1398",
+    "decide": "0d222a3b7cd070d9728f9a7a0a44d012bfa43f4f070c0c3926b2ca0d8043ca4c",
+    "propcheck": "83d171c955dd0eea45a61f5b40fb1d2eafb44bb421ecdca945aca1814136aa55",
+    "report": "403199644e51917d1ac2139b8f1e7ade8bcf6c12fec5300bf72a25288cd00a30",
+    "apply-op --op glue": "29bac02c3d8c80ea8c55f747145c8ea5219e592888508177f697ab3b0c7ca39c",
+    "apply-op --op fill": "57f14a52e1d9399f364094e04a3531d80850abf2b0f30c1ca13ec80a211f952b",
+    "apply-op --op rebase": "ff32255895698926b6e5843d3e7e84767ba08a1f2ef085d2bcf7e93570256236",
+    "apply-op --op shrink": "136a46454a7f748450a57d85f1a673aa4b7b95d22e40c55069a72a68522d87d5",
+    "apply-op --op split": "c5be5450d77e4b54398994b9e22e37a7d8e462aba1f023715aa893bb5eabf67b",
+    "apply-op --op halve": "38af61e7cbd6f0b334f4bdff14d93d6ac09328fc06cc84286d1a9fb9b16e3b6e",
+    "--help": "28dfb7c5549c4465a7df2c993ed094b1090305342869f47c8b2ef9839b5e3d93",
+}
+
+
+def test_cli_output_matches_golden_digests(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for argv in _fixture_commands() + [["--help"]]:
+        code, out, err = _in_process(argv, capsys)
+        key = " ".join(argv[:3]) if argv[0] == "apply-op" else argv[0]
+        got.setdefault(key, hashlib.sha256()).update(b"%d\n%s\0%s" % (code, out, err))
+    assert {key: h.hexdigest() for key, h in got.items()} == _CLI_GOLDEN
+
+
 def test_parser_is_built_once_per_process(capsys):
     """20 in-process calls, usage errors among them, build one parser."""
     from creature_lab import cli
@@ -434,3 +469,63 @@ def test_decide_negative_max_level_is_an_error(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "--max-level -1" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("op", ["halve", "split"])
+@pytest.mark.parametrize(
+    "field, bad, clause",
+    [("i", 99, "(a): kind 99"), ("i", -1, "(a): kind -1"), ("valrange", [], "(c): empty value range")],
+    ids=["kind-99", "kind-minus-1", "empty-valrange"],
+)
+def test_apply_op_rejects_an_invalid_creature(tmp_path, capsys, op, field, bad, clause):
+    """halve and split validate their creature first, as the other four ops do."""
+    from creature_lab.cli import main
+
+    doc = json.loads((FIXDIR / "creatures.json").read_text())
+    doc["creatures"][0][field] = bad
+    path = tmp_path / "creatures.json"
+    path.write_text(json.dumps(doc))
+    assert main(["apply-op", "--op", op, "--in", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {op} of invalid creature: {clause}"), out.err
+
+
+@pytest.mark.parametrize(
+    "report, field",
+    [
+        ({"suite": "glue"}, "missing field 'status'"),
+        (
+            {"suite": "glue", "status": "pass", "premise_hits": 1, "instances": 2, "failures": 0,
+             "stats": [1]},
+            "field 'stats' must be a JSON object",
+        ),
+    ],
+    ids=["no-status", "stats-list"],
+)
+def test_report_names_the_bad_field_of_a_suite_report(tmp_path, capsys, report, field):
+    from creature_lab.cli import main
+
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["report", "--in", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: suite report: {field}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen-tree", "--width", "4", "--height", "3", "--seed", "7", "--roots", "-1"], "--roots"),
+        (["propcheck", "--suite", "growth", "--count", "-3", "--seed", "1"], "--count"),
+    ],
+    ids=["roots", "count"],
+)
+def test_negative_count_is_a_usage_error(capsys, argv, flag):
+    code, out, err = _in_process(argv, capsys)
+    assert (code, out) == (64, b"")
+    assert f"argument {flag}: must be a non-negative integer, got -" in err.decode()
+    zero = argv[: argv.index(flag) + 1] + ["0"] + argv[argv.index(flag) + 2 :]
+    code, out, _ = _in_process(zero, capsys)
+    assert code == 0 and json.loads(out)
