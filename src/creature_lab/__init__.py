@@ -6,9 +6,9 @@ a graded strengthening order, the constructive operations on all of these,
 and a seeded property-verification harness with counterexample shrinking.
 """
 
-from .params import GrowthSequences, NormShape, default_shape, f_eval, halving_witness, make_growth
-from .tree_model import AmbientTree, branches_of, build_tree, initial_segment, random_tree
-from .specfn import EMPTY_FN, Incompatible, SpecFn, delta_system, enumerate_spec, is_spec, isomorphic_over, union_spec
+from .params import GrowthSequences, NormShape, default_shape, halving_witness, make_growth
+from .tree_model import AmbientTree, build_tree, initial_segment, random_tree
+from .specfn import EMPTY_FN, Incompatible, SpecFn, delta_system, enumerate_spec, is_spec, union_spec
 from .creature import Creature, NormRecord, SimpleCreature, norm0, norms, normstar, validate_creature
 from .oracle import oracle_norm0
 
@@ -16,11 +16,9 @@ __all__ = [
     "GrowthSequences",
     "NormShape",
     "default_shape",
-    "f_eval",
     "halving_witness",
     "make_growth",
     "AmbientTree",
-    "branches_of",
     "build_tree",
     "initial_segment",
     "random_tree",
@@ -30,7 +28,6 @@ __all__ = [
     "delta_system",
     "enumerate_spec",
     "is_spec",
-    "isomorphic_over",
     "union_spec",
     "Creature",
     "NormRecord",

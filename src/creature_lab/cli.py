@@ -84,7 +84,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 # argparse names the type when int() rejects the text: keep "invalid int value"
-_nonnegative_int.__name__ = "int"
+_positive_int.__name__ = _nonnegative_int.__name__ = "int"
 
 
 def _growth_from_flag(flag: str):
@@ -156,6 +156,7 @@ def cmd_apply_op(args) -> int:
     if args.op not in ("split", "halve"):
         meta["bound"] = res.bound
     result = res.creature if args.op == "halve" else Creature(res.creature, cplus.k)
+    validate_creature(result.simple, params, tree).require(f"apply-op {args.op} result")
     creature = fx.creature_to_fixture(result)
     if args.out:
         out = fx.empty_document(tree=doc["tree"], params=doc["params"], creatures=[creature])
@@ -282,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen-tree", help="emit a random ambient forest fixture")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=_positive_int, required=True)
+    p.add_argument("--height", type=_nonnegative_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--roots", type=_nonnegative_int, default=1)
 
@@ -317,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("purify", help="restrict a fragment against an upward-closed set")
     p.add_argument("--p", required=True)
     p.add_argument("--x", type=int, nargs="*", default=(), help="node indices into the fragment")
-    p.add_argument("--kstar", type=int, default=0)
+    p.add_argument("--kstar", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("decide", help="find a level of label-constant cones")
     p.add_argument("--p", required=True)
     p.add_argument("--label", default=None)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=_nonnegative_int, default=0)
     p.add_argument("--max-level", type=int, default=None)
 
     p = sub.add_parser("propcheck", help="run a property suite")
@@ -351,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as e:
         print(f"budget: {e}", file=sys.stderr)
         return BUDGET_EXIT
-    except (ValidationError, PreconditionError, DomainError, ConstructionError, FileNotFoundError) as e:
+    except (ValidationError, PreconditionError, DomainError, ConstructionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return FAIL_EXIT
 

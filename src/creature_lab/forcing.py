@@ -491,34 +491,15 @@ def fuse(
 
 @dataclass
 class Classification:
-    normal: bool
     smooth: bool
     weakly_smooth: bool
     alpha: int | None
 
 
-def classify(
-    p: ConditionFragment,
-    tree: AmbientTree,
-    params: GrowthSequences,
-) -> Classification:
-    """Normality (monotone norms) and smoothness from the coverage record."""
+def classify(p: ConditionFragment, tree: AmbientTree) -> Classification:
+    """Smoothness from the coverage record."""
     if p.coverage is None:
         raise PreconditionError("classify requires coverage metadata")
-    normal = True
-    for branch in p.maximal_branches():
-        prev: float | None = None
-        for fn in branch:
-            if not p.children(fn):
-                continue
-            c = creature_at(p, fn, params)
-            val = NormShape.f(normhalf(c, tree, params), max(p.klabel[fn], 1))
-            if prev is not None and val < prev:
-                normal = False
-                break
-            prev = val
-        if not normal:
-            break
     weakly = p.coverage.k == 0
     smooth = weakly and not p.coverage.u
     alpha: int | None = None
@@ -530,18 +511,7 @@ def classify(
                 raise ValidationError(
                     f"smooth fragment's leaf {leaf} does not tile levels below {alpha}"
                 )
-    return Classification(normal=normal, smooth=smooth, weakly_smooth=weakly, alpha=alpha)
-
-
-def fronts_of(p: ConditionFragment) -> list[tuple[SpecFn, ...]]:
-    """All fronts: antichains met by every maximal branch (small fragments only)."""
-    nodes = list(p.fns)
-    return [
-        combo
-        for r in range(1, len(nodes) + 1)
-        for combo in itertools.combinations(nodes, r)
-        if is_front(p, combo)
-    ]
+    return Classification(smooth=smooth, weakly_smooth=weakly, alpha=alpha)
 
 
 def is_front(p: ConditionFragment, front: list[SpecFn] | tuple[SpecFn, ...]) -> bool:

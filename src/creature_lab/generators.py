@@ -68,12 +68,11 @@ def random_specfn(
     max_dom: int,
     bound: int,
     base: SpecFn | None = None,
-    retries: int = 60,
 ) -> SpecFn | None:
     """A random specialization function extending `base` (rejection sampling)."""
     base_map = base.as_dict() if base else {}
     pool = [x for x in tree.nodes if x not in base_map]
-    for _ in range(retries):
+    for _ in range(60):
         extra = rng.randint(0 if base else 1, max_dom)
         if extra > len(pool):
             extra = len(pool)
@@ -102,12 +101,11 @@ def random_creature(
     i: int = 0,
     max_members: int = 4,
     value_bound: int | None = None,
-    retries: int = 80,
 ) -> SimpleCreature | None:
     """A random valid simple i-creature (empty base for i = 0)."""
     bound = value_bound if value_bound is not None else params.n3[i]
     bound = min(bound, params.n3[i])
-    for _ in range(retries):
+    for _ in range(80):
         if i == 0:
             base = SpecFn.make({})
         else:
@@ -209,7 +207,6 @@ def depth2_fragment(
     tree: AmbientTree,
     params: GrowthSequences,
     branching: tuple[int, int] = (2, 3),
-    klabels: tuple[int, int, int] = (1, 1, 0),
 ) -> ConditionFragment:
     """A depth-2 canonical fragment over the two-level tree.
 
@@ -227,30 +224,24 @@ def depth2_fragment(
     plan = FragmentPlan(
         branching=list(branching),
         slices=[[roots[0]], leaf_slice],
-        klabels=list(klabels),
+        klabels=[1, 1, 0],
     )
     return canonical_fragment(tree, params, plan)
 
 
-def depth3_fragment(
-    tree: AmbientTree,
-    params: GrowthSequences,
-    branching: tuple[int, int, int] = (2, 2, 3),
-    klabels: tuple[int, int, int, int] = (1, 1, 1, 0),
-) -> ConditionFragment:
+def depth3_fragment(tree: AmbientTree, params: GrowthSequences) -> ConditionFragment:
     """A depth-3 canonical fragment over the full grid forest.
 
     Level slices: one root, three of its level-1 row, the whole level-2 row;
     domain sizes 1 / 4 / 10 land inside the kind windows of the `cond3`
     profile.
     """
-    width = tree.width
     lvl1 = [x for x in tree.nodes if tree.level(x) == 1]
     lvl2 = [x for x in tree.nodes if tree.level(x) == 2]
     plan = FragmentPlan(
-        branching=list(branching),
+        branching=[2, 2, 3],
         slices=[[0], sorted(lvl1)[:3], sorted(lvl2)],
-        klabels=list(klabels),
+        klabels=[1, 1, 1, 0],
     )
     return canonical_fragment(tree, params, plan)
 
@@ -260,7 +251,6 @@ def smooth_target_fragment(
     params: GrowthSequences,
     alpha: int,
     branching: tuple[int, int] = (2, 4),
-    klabels: tuple[int, int, int] = (0, 1, 0),
     hold_out: list[int] | None = None,
 ) -> ConditionFragment:
     """Depth-2 fragment whose leaves tile T_{<alpha} minus `hold_out`."""
@@ -270,7 +260,7 @@ def smooth_target_fragment(
     rest = [x for x in seg if tree.level(x) > 0 and x not in hold]
     if not lvl0 or not rest:
         raise PreconditionError("need nodes on both levels for a depth-2 tiling")
-    plan = FragmentPlan(branching=list(branching), slices=[lvl0, rest], klabels=list(klabels))
+    plan = FragmentPlan(branching=list(branching), slices=[lvl0, rest], klabels=[0, 1, 0])
     cov = None
     if not hold:
         cov = Coverage(k=0, alpha=alpha, u=frozenset())

@@ -291,7 +291,6 @@ def shrink_to_norm(
 class SplitResult:
     side: int
     creature: SimpleCreature
-    norms: dict
 
 
 def bigness_split(
@@ -318,7 +317,7 @@ def bigness_split(
         "parts do not cover the value range exactly",
     )
     if not val2:
-        return SplitResult(side=1, creature=c, norms={})
+        return SplitResult(side=1, creature=c)
     if not val1:
         side = 2
         kept = SimpleCreature.make(c.i, c.base, val2)
@@ -329,11 +328,7 @@ def bigness_split(
         n2 = cached_norm0(c2, tree, params)
         side = 1 if n1 >= n2 else 2
         kept = c1 if side == 1 else c2
-    info = {
-        "norm0_kept": cached_norm0(kept, tree, params),
-        "norm0_orig": cached_norm0(c, tree, params),
-    }
-    return SplitResult(side=side, creature=kept, norms=info)
+    return SplitResult(side=side, creature=kept)
 
 
 @dataclass

@@ -180,15 +180,6 @@ def default_shape() -> NormShape:
     return NormShape()
 
 
-def f_eval(n: int, k: int) -> float:
-    """Evaluate the shape; k = 0 is out of domain."""
-    if k == 0:
-        raise DomainError("f(n, 0) is undefined")
-    if k < 0 or n < 0:
-        raise DomainError("shape arguments must be naturals")
-    return NormShape.f(n, k)
-
-
 def halving_witness(n: int, k: int) -> int:
     """The halving witness k' with k < k' < n; requires f(n, k) >= 1."""
     if k < 1:

@@ -2,8 +2,7 @@
 
 A specialization function assigns naturals to tree nodes so that comparable
 nodes never share a value.  This module enumerates them, unions them with
-incompatibility witnesses, decides isomorphism over a base, and extracts
-finite delta systems.
+incompatibility witnesses, and extracts finite delta systems.
 """
 
 from __future__ import annotations
@@ -140,54 +139,6 @@ def union_spec(tree: AmbientTree, eta: SpecFn, nu: SpecFn) -> SpecFn | Incompati
         if vx == vy and x in tree and y in tree and tree.comparable(x, y):
             return Incompatible(reason="comparable nodes share a value", witness=(x, y))
     return SpecFn.make(merged, bound=max(eta.bound, nu.bound))
-
-
-def isomorphic_over(
-    tree: AmbientTree,
-    eta0: SpecFn,
-    eta1: SpecFn,
-    base: frozenset[int] | set[int],
-) -> tuple[bool, dict[int, int] | None]:
-    """Order-isomorphism of eta0 onto eta1 fixing `base` pointwise.
-
-    Searches injections f with f identity on base, f[dom eta0] = dom eta1,
-    eta0(x) = eta1(f(x)), and x < y iff f(x) < f(y) on dom(eta0) ∪ base.
-    Returns (found, witness_map).
-    """
-    base = frozenset(base)
-    d0 = eta0.as_dict()
-    d1 = eta1.as_dict()
-    # base points inside the domains must match identically
-    for x in sorted(base):
-        in0, in1 = x in d0, x in d1
-        if in0 != in1:
-            return False, None
-        if in0 and d0[x] != d1[x]:
-            return False, None
-    free0 = sorted(set(d0) - base)
-    free1 = sorted(set(d1) - base)
-    if len(free0) != len(free1):
-        return False, None
-
-    fixed = sorted(base)
-
-    def order_ok(f: dict[int, int]) -> bool:
-        pts = list(f.items())
-        for (x, fx), (y, fy) in itertools.combinations(pts, 2):
-            if tree.less(x, y) != tree.less(fx, fy):
-                return False
-            if tree.less(y, x) != tree.less(fy, fx):
-                return False
-        return True
-
-    for perm in itertools.permutations(free1):
-        if any(d0[x] != d1[y] for x, y in zip(free0, perm)):
-            continue
-        f = {x: x for x in fixed}
-        f.update(dict(zip(free0, perm)))
-        if order_ok(f):
-            return True, f
-    return False, None
 
 
 def delta_system(

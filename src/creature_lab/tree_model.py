@@ -154,11 +154,6 @@ def build_tree(
     return AmbientTree(width, parent, all_nodes)
 
 
-def branches_of(tree: AmbientTree) -> list[frozenset[int]]:
-    """Branches as node sets, in the deterministic sequence order."""
-    return [frozenset(b) for b in tree.branches()]
-
-
 def initial_segment(tree: AmbientTree, alpha: int) -> frozenset[int]:
     """All nodes of level < alpha."""
     return frozenset(x for x in tree.nodes if tree.level(x) < alpha)

@@ -633,7 +633,7 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
         q = smoothen(p, 2, m, tree, params)
     except PreconditionError:
         return _MISS
-    cls = classify(q, tree, params)
+    cls = classify(q, tree)
     if not cls.smooth or cls.alpha != 2:
         return SuiteOutcome(False, True, {"smooth": cls.smooth, "alpha": cls.alpha})
     if not leq_n(p, q, m, tree, params):

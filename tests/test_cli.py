@@ -274,7 +274,8 @@ def _in_process(argv, capsys):
 
 # sha256 of exit code, stdout and stderr over `_fixture_commands()`, one per
 # subcommand (per op for apply-op), and of `--help` at 80 columns; taken
-# before `apply-op` lost its per-op result branches
+# before `apply-op` lost its per-op result branches, except `split`'s, taken
+# once `apply-op` validated its result (`--index 1` keeps one member and exits 1)
 _CLI_GOLDEN = {
     "gen-tree": "32780ae212a9dd843830f25544c6aff9a5991aa154815ded885699aa9b966357",
     "gen-params": "3d0626ee3cd9f1312c9ab008ed1d2850fa5b311559b099d66db606298615c8e8",
@@ -290,7 +291,7 @@ _CLI_GOLDEN = {
     "apply-op --op fill": "57f14a52e1d9399f364094e04a3531d80850abf2b0f30c1ca13ec80a211f952b",
     "apply-op --op rebase": "ff32255895698926b6e5843d3e7e84767ba08a1f2ef085d2bcf7e93570256236",
     "apply-op --op shrink": "136a46454a7f748450a57d85f1a673aa4b7b95d22e40c55069a72a68522d87d5",
-    "apply-op --op split": "c5be5450d77e4b54398994b9e22e37a7d8e462aba1f023715aa893bb5eabf67b",
+    "apply-op --op split": "e3bcf6a65cc0afb8308938577047bd8740d38bbdf953ca03164f73af52497665",
     "apply-op --op halve": "38af61e7cbd6f0b334f4bdff14d93d6ac09328fc06cc84286d1a9fb9b16e3b6e",
     "--help": "28dfb7c5549c4465a7df2c993ed094b1090305342869f47c8b2ef9839b5e3d93",
 }
@@ -390,27 +391,70 @@ def _apply(doc, path, bad):
     return out
 
 
+_OP_ARGVS = [
+    ["apply-op", "--op", op, *extra]
+    for op in ("glue", "fill", "rebase", "shrink", "split", "halve")
+    for extra in ([], ["--nodes", "2", "--k", "2"])
+]
+
+
+def _printed_documents_validate(printed: str, doc: dict) -> bool:
+    """The creature or condition printed validates against `doc`'s tree and
+    params (make_growth(2) when it has none), as the CLI read them."""
+    from creature_lab import fixtures as fx
+    from creature_lab.creature import validate_creature
+    from creature_lab.forcing import validate_condition
+    from creature_lab.params import make_growth
+
+    out = json.loads(printed)
+    if "creature" not in out and "condition" not in out:
+        return True
+    tree = fx.tree_from_fixture(doc["tree"])
+    params = fx.params_from_fixture(doc["params"]) if doc.get("params") else make_growth(2)
+    ok = True
+    if "creature" in out:
+        ok = validate_creature(fx.creature_from_fixture(out["creature"]).simple, params, tree).ok
+    if "condition" in out:
+        ok = ok and validate_condition(fx.condition_from_fixture(out["condition"]), tree, params).ok
+    return ok
+
+
 def test_mutated_fixtures_fail_cleanly(tmp_path, capsys):
-    """One broken field of a shipped fixture: exit 0 or 1, never an exception."""
+    """One broken field of a shipped fixture: exit 0 or 1, never an exception;
+    a creature or condition printed with exit 0 validates again, and so does
+    every op's result on the shipped creatures."""
     from creature_lab.cli import main
 
+    conditions = str(FIXDIR / "conditions.json")
     commands = {
-        "creatures.json": [["norm", "--in"], ["apply-op", "--op", "halve", "--in"]],
-        "conditions.json": [["check-condition", "--in"], ["decide", "--m", "0", "--p"]],
+        "creatures.json": [["norm", "--in"]] + [[*argv, "--in"] for argv in _OP_ARGVS],
+        "conditions.json": [
+            ["check-condition", "--in"],
+            ["decide", "--m", "0", "--p"],
+            ["purify", "--p"],
+            ["check-leq", "--q", conditions, "--p"],
+        ],
     }
     tried = 0
     for name, argvs in commands.items():
         doc = json.loads((FIXDIR / name).read_text())
         for path, bad in _mutations(doc):
+            broken = _apply(doc, path, bad)
             bad_file = tmp_path / name
-            bad_file.write_text(json.dumps(_apply(doc, path, bad)))
+            bad_file.write_text(json.dumps(broken))
             for argv in argvs:
                 code = main([*argv, str(bad_file)])
+                printed = capsys.readouterr().out
                 assert code in (0, 1), (name, path, bad, argv)
+                assert code == 1 or _printed_documents_validate(printed, broken), (name, path, bad, argv)
                 tried += 1
-    capsys.readouterr()
-    assert tried > 500
-
+    assert tried > 2000
+    doc = json.loads((FIXDIR / "creatures.json").read_text())
+    for argv in _OP_ARGVS:
+        for index in range(len(doc["creatures"])):
+            code = main([*argv, "--index", str(index), "--in", str(FIXDIR / "creatures.json")])
+            printed = capsys.readouterr().out
+            assert code == 1 or _printed_documents_validate(printed, doc), (argv, index)
 
 
 def _not_a_condition(doc: dict, broken: str) -> dict:
@@ -515,17 +559,37 @@ def test_report_names_the_bad_field_of_a_suite_report(tmp_path, capsys, report, 
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, least",
     [
-        (["gen-tree", "--width", "4", "--height", "3", "--seed", "7", "--roots", "-1"], "--roots"),
-        (["propcheck", "--suite", "growth", "--count", "-3", "--seed", "1"], "--count"),
+        (["gen-tree", "--width", "4", "--height", "3", "--seed", "7", "--roots", "-1"], "--roots", 0),
+        (["propcheck", "--suite", "growth", "--count", "-3", "--seed", "1"], "--count", 0),
+        (["gen-tree", "--width", "4", "--height", "-2", "--seed", "7"], "--height", 0),
+        (["gen-tree", "--width", "-1", "--height", "3", "--seed", "7"], "--width", 1),
+        (["purify", "--p", str(FIXDIR / "conditions.json"), "--kstar", "-1"], "--kstar", 0),
+        (["decide", "--p", str(FIXDIR / "conditions.json"), "--m", "-1"], "--m", 0),
     ],
-    ids=["roots", "count"],
+    ids=["roots", "count", "height", "width", "kstar", "m"],
 )
-def test_negative_count_is_a_usage_error(capsys, argv, flag):
-    code, out, err = _in_process(argv, capsys)
-    assert (code, out) == (64, b"")
-    assert f"argument {flag}: must be a non-negative integer, got -" in err.decode()
-    zero = argv[: argv.index(flag) + 1] + ["0"] + argv[argv.index(flag) + 2 :]
-    code, out, _ = _in_process(zero, capsys)
+def test_negative_count_is_a_usage_error(capsys, argv, flag, least):
+    """A value below the flag's least is a usage error; the least value runs."""
+    kind = "positive" if least else "non-negative"
+    at = argv.index(flag) + 1
+    for value in (argv[at], str(least - 1)):
+        code, out, err = _in_process(argv[:at] + [value] + argv[at + 1 :], capsys)
+        assert (code, out) == (64, b"")
+        assert f"argument {flag}: must be a {kind} integer, got {value}" in err.decode()
+    code, out, err = _in_process(argv[:at] + ["x"] + argv[at + 1 :], capsys)
+    assert code == 64 and f"argument {flag}: invalid int value: 'x'" in err.decode()
+    code, out, _ = _in_process(argv[:at] + [str(least)] + argv[at + 1 :], capsys)
     assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["norm", "--in", str(FIXDIR)], ["gen-params", "--growth", f"file:{FIXDIR}"]],
+    ids=["norm", "gen-params"],
+)
+def test_path_that_is_not_a_file_is_an_error(capsys, argv):
+    code, out, err = _in_process(argv, capsys)
+    assert (code, out) == (1, b"")
+    assert err.decode().startswith("error: ") and str(FIXDIR) in err.decode()

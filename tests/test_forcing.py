@@ -11,7 +11,6 @@ from creature_lab.forcing import (
     Projection,
     classify,
     creature_at,
-    fronts_of,
     fuse,
     is_front,
     kind_of,
@@ -211,11 +210,11 @@ def test_classify_examples(ctx):
         klabel={EMPTY_FN: 0},
         coverage=Coverage(k=0, alpha=0, u=frozenset()),
     )
-    cls = classify(p, tree, params)
+    cls = classify(p, tree)
     assert cls.smooth and cls.weakly_smooth and cls.alpha == 0
     smooth = smooth_target_fragment(tree, params, alpha=2)
-    cls2 = classify(smooth, tree, params)
-    assert cls2.smooth and cls2.alpha == 2 and cls2.normal
+    cls2 = classify(smooth, tree)
+    assert cls2.smooth and cls2.alpha == 2
 
 
 def test_classify_weakly_smooth_with_u(ctx):
@@ -226,22 +225,20 @@ def test_classify_weakly_smooth_with_u(ctx):
         klabel=dict(smooth.klabel),
         coverage=Coverage(k=0, alpha=2, u=frozenset({99})),
     )
-    cls = classify(p, tree, params)
+    cls = classify(p, tree)
     assert cls.weakly_smooth and not cls.smooth
 
 
 def test_classify_requires_coverage(ctx, frag):
     tree, params, shape = ctx
     with pytest.raises(PreconditionError):
-        classify(frag, tree, params)
+        classify(frag, tree)
 
 
 def test_fronts(ctx, frag):
-    fr = fronts_of(frag)
-    assert (frag.root,) in fr
-    lvl1 = tuple(frag.level_nodes(1))
-    assert any(set(f) == set(lvl1) for f in fr)
-    assert is_front(frag, list(lvl1))
+    lvl1 = list(frag.level_nodes(1))
+    assert is_front(frag, [frag.root])
+    assert is_front(frag, lvl1)
     assert not is_front(frag, [frag.root, lvl1[0]])
 
 
@@ -311,14 +308,14 @@ def test_smoothen_already_smooth(ctx):
     p = smooth_target_fragment(tree, params, alpha=2)
     q = smoothen(p, 2, 1, tree, params)
     assert set(q.fns) == set(p.fns)
-    assert classify(q, tree, params).smooth
+    assert classify(q, tree).smooth
 
 
 def test_smoothen_fills_missing_node(ctx):
     tree, params, shape = ctx
     p = smooth_target_fragment(tree, params, alpha=2, hold_out=[2])
     q = smoothen(p, 2, 1, tree, params)
-    cls = classify(q, tree, params)
+    cls = classify(q, tree)
     assert cls.smooth and cls.alpha == 2
     assert leq_n(p, q, 1, tree, params)
     pr = leq(p, q, tree, params)
@@ -358,7 +355,7 @@ def test_smoothen_grafts_below_the_fill_level(monkeypatch, branching, fill_level
         assert rebased
         assert validate_condition(q, tree, params).ok
         assert leq_n(p, q, m, tree, params)
-        assert classify(q, tree, params).smooth
+        assert classify(q, tree).smooth
         assert all(10 in leaf for leaf in q.leaves())
         pr = leq(p, q, tree, params)
         assert all(q.klabel[fn] == p.klabel[pr(fn)] for fn in q.fns)

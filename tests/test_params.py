@@ -14,7 +14,6 @@ from creature_lab.homogenize import LeafLabeling, decide
 from creature_lab.params import (
     NormShape,
     default_shape,
-    f_eval,
     halving_witness,
     log2ceil,
     log2ceil_ratio,
@@ -59,17 +58,6 @@ def test_derived_fill_inequality_holds_for_defaults():
     for i in range(g.imax + 1):
         for k in (0, 1, g.n1[i] // 2, g.n1[i]):
             assert (i - 1) * g.n1[i] + k < g.n3[i]
-
-
-def test_f_eval_values():
-    assert f_eval(8, 2) == 2.0
-    assert f_eval(2, 4) == 0.0
-    assert f_eval(16, 16) == 0.0
-
-
-def test_f_eval_zero_counter_is_domain_error():
-    with pytest.raises(DomainError):
-        f_eval(8, 0)
 
 
 def test_halving_witness_values():

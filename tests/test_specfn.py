@@ -12,7 +12,6 @@ from creature_lab.specfn import (
     delta_system,
     enumerate_spec,
     is_spec,
-    isomorphic_over,
     union_spec,
 )
 from creature_lab.tree_model import build_tree
@@ -159,50 +158,6 @@ def test_union_commutative_associative_small(tree):
         right = union_spec(tree, a, bc) if isinstance(bc, SpecFn) else None
         if isinstance(left, SpecFn) and isinstance(right, SpecFn):
             assert left == right
-
-
-def test_isomorphic_reflexive(tree):
-    fn = SpecFn.make({3: 1, 4: 0})
-    ok, wit = isomorphic_over(tree, fn, fn, frozenset({0}))
-    assert ok and all(wit[x] == x for x in wit)
-
-
-def test_isomorphic_sibling_leaves(tree):
-    ok, wit = isomorphic_over(tree, SpecFn.make({6: 0}), SpecFn.make({7: 0}), frozenset({0, 3}))
-    assert ok and wit[6] == 7
-
-
-def test_isomorphic_value_mismatch(tree):
-    ok, wit = isomorphic_over(tree, SpecFn.make({6: 0}), SpecFn.make({7: 1}), frozenset({0, 3}))
-    assert not ok and wit is None
-
-
-def test_isomorphic_order_mismatch(tree):
-    # a chain pair cannot map onto an antichain pair
-    ok, _ = isomorphic_over(tree, SpecFn.make({0: 0, 3: 1}), SpecFn.make({3: 0, 4: 1}), frozenset())
-    assert not ok
-
-
-def test_isomorphic_is_equivalence_sampled(tree):
-    rng = random.Random(1)
-    pool = []
-    for _ in range(12):
-        nodes = rng.sample(list(tree.nodes), 2)
-        pool.append(SpecFn.make({x: rng.randint(0, 2) for x in nodes}))
-    base = frozenset({0})
-    for fn in pool:
-        ok, _ = isomorphic_over(tree, fn, fn, base)
-        assert ok
-    for a, b in itertools.combinations(pool, 2):
-        ab, _ = isomorphic_over(tree, a, b, base)
-        ba, _ = isomorphic_over(tree, b, a, base)
-        assert ab == ba
-    for a, b, c in itertools.combinations(pool, 3):
-        ab, _ = isomorphic_over(tree, a, b, base)
-        bc, _ = isomorphic_over(tree, b, c, base)
-        ac, _ = isomorphic_over(tree, a, c, base)
-        if ab and bc:
-            assert ac
 
 
 def _verify_delta(tree, family, root, idxs):

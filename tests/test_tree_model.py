@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from creature_lab.errors import ConstructionError
-from creature_lab.tree_model import branches_of, build_tree, initial_segment, random_tree
+from creature_lab.tree_model import build_tree, initial_segment, random_tree
 
 
 def test_basic_tree_levels():
@@ -21,7 +21,7 @@ def test_level_skip_rejected():
 def test_single_node_tree():
     t = build_tree(2, [], nodes={0})
     assert t.nodes == (0,)
-    assert branches_of(t) == [frozenset({0})]
+    assert [frozenset(b) for b in t.branches()] == [frozenset({0})]
 
 
 def test_multiple_parents_rejected():
@@ -36,9 +36,9 @@ def test_orphan_rejected():
 
 def test_branches_examples():
     t = build_tree(2, [(0, 2), (0, 3)])
-    assert branches_of(t) == [frozenset({0, 2}), frozenset({0, 3})]
+    assert [frozenset(b) for b in t.branches()] == [frozenset({0, 2}), frozenset({0, 3})]
     chain = build_tree(2, [(0, 2), (2, 4)])
-    assert branches_of(chain) == [frozenset({0, 2, 4})]
+    assert [frozenset(b) for b in chain.branches()] == [frozenset({0, 2, 4})]
 
 
 def test_initial_segment():
@@ -107,5 +107,5 @@ def test_branch_masks_match_branches(t):
     # norm0 reads these masks; the oracle reads branches() itself, so a fault
     # in the masks would show only here
     masks = t.branch_masks()
-    assert [_mask_nodes(m) for m in masks] == branches_of(t)
+    assert [_mask_nodes(m) for m in masks] == [frozenset(b) for b in t.branches()]
     assert t.branch_masks() is masks
