@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum-spec", help="enumerate specialization functions")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--nodes", type=int, nargs="+", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("norm", help="print the six norms of each creature")
     p.add_argument("--in", dest="infile", required=True)

@@ -232,6 +232,9 @@ def validate_condition(
         ok_v, wit_v = False, "duplicate function"
     else:
         for a, b in itertools.combinations(p.fns, 2):
+            # the union of comparable nodes is the larger one, a node of p
+            if a.extends(b) or b.extends(a):
+                continue
             # the union depends on (tree, a, b) only, so subfragments share it
             u = tree.memoized(("union_spec", a, b), union_spec, tree, a, b)
             if isinstance(u, SpecFn) and u not in fnset:
@@ -492,7 +495,6 @@ def fuse(
 @dataclass
 class Classification:
     smooth: bool
-    weakly_smooth: bool
     alpha: int | None
 
 
@@ -500,8 +502,7 @@ def classify(p: ConditionFragment, tree: AmbientTree) -> Classification:
     """Smoothness from the coverage record."""
     if p.coverage is None:
         raise PreconditionError("classify requires coverage metadata")
-    weakly = p.coverage.k == 0
-    smooth = weakly and not p.coverage.u
+    smooth = p.coverage.k == 0 and not p.coverage.u
     alpha: int | None = None
     if smooth:
         alpha = p.coverage.alpha
@@ -511,7 +512,7 @@ def classify(p: ConditionFragment, tree: AmbientTree) -> Classification:
                 raise ValidationError(
                     f"smooth fragment's leaf {leaf} does not tile levels below {alpha}"
                 )
-    return Classification(smooth=smooth, weakly_smooth=weakly, alpha=alpha)
+    return Classification(smooth=smooth, alpha=alpha)
 
 
 def is_front(p: ConditionFragment, front: list[SpecFn] | tuple[SpecFn, ...]) -> bool:

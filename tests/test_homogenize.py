@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -260,6 +261,12 @@ def test_decide_refuses_a_negative_max_level(ctx, frag, monkeypatch):
         decide(frag, label, 0, tree, params, shape, max_level=-1)
 
 
+def _nodes(p, keep):
+    """The node set of a keep mask: bit j stands for p.fns[j]."""
+    assert keep > 0 and keep >> len(p.fns) == 0
+    return {fn for j, fn in enumerate(p.fns) if keep >> j & 1}
+
+
 def _reference_subfragments(p, frozen_levels, tree, params):
     """Reference enumeration without sharing: a cone's options are rebuilt
     for every sibling subset that holds its root."""
@@ -298,7 +305,7 @@ def test_subfragments_match_the_reference_enumeration(name, m):
     # at m = -1 no level is frozen: each level-1 cone serves several of the
     # root's child subsets, the case where its options are built only once
     p, tree, params = _fragment(name)
-    got = list(_valid_subfragments(p, m + 1, tree, params))
+    got = [_nodes(p, keep) for keep in _valid_subfragments(p, m + 1, tree, params)]
     assert got == list(_reference_subfragments(p, m + 1, tree, params))
     expected = {"2x2x3": {-1: 256, 0: 256, 1: 256}, "3x4": {-1: 1694, 0: 1331, 1: 1}}
     assert len(got) == expected[name][m]
@@ -391,20 +398,21 @@ def test_keep_set_constancy_matches_the_built_fragment(name, m):
     p, tree, params = _fragment(name)
     labelings = _labelings(p)
     cutoffs = range(p.depth + 2)
-    keeps = [set(p.fns)]
+    keeps = [(1 << len(p.fns)) - 1]
     for label in labelings.values():
         for cutoff in cutoffs:
             keeps.extend(_greedy_candidates(p, label, cutoff, tree, params))
     keeps.extend(_valid_subfragments(p, m + 1, tree, params))
-    cone_leaves = {kind: _cone_leaf_labels(p, label) for kind, label in labelings.items()}
+    tables = {kind: _cone_leaf_labels(p, label) for kind, label in labelings.items()}
     found = 0
     for keep in keeps:
-        q = _subfragment(p, keep)
+        nodes = _nodes(p, keep)
+        q = _subfragment(p, nodes)
         for kind, label in labelings.items():
             for cutoff in cutoffs:
                 expected = _fragment_constant_level(q, label, cutoff)
-                got = _keep_constant_level(p, keep, cone_leaves[kind], cutoff)
-                assert got == expected, (kind, cutoff, sorted(f.pairs for f in keep))
+                got = _keep_constant_level(keep, tables[kind], cutoff)
+                assert got == expected, (kind, cutoff, sorted(f.pairs for f in nodes))
                 found += expected is not None
     assert found > 0
 
@@ -417,9 +425,9 @@ def _validate_first_decide(p, label, m, tree, params, max_level=None):
     def candidates():
         yield p, "trivial", 0
         for keep in _greedy_candidates(p, label, cutoff, tree, params):
-            yield _subfragment(p, keep), "greedy", 0
+            yield _subfragment(p, _nodes(p, keep)), "greedy", 0
         for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
-            yield _subfragment(p, keep), "exhaustive", searched
+            yield _subfragment(p, _nodes(p, keep)), "exhaustive", searched
 
     searched = 0
     for q, stage, searched in candidates():
@@ -506,3 +514,40 @@ def test_not_found_builds_and_validates_nothing(name, m, searched, monkeypatch):
     res = decide(p, label, m, tree, params, default_shape(), max_level=1)
     assert (res.found, res.exhaustive, res.searched) == (False, True, searched)
     assert calls == {"validate_condition": 0, "leq_n": 0}
+
+
+def _answer(res):
+    """A decide result as plain values: fragment nodes and table entries by
+    their pairs, each node with its parent's pairs and its counter."""
+    frag = None
+    if res.fragment is not None:
+        q = res.fragment
+        frag = sorted(
+            (fn.pairs, None if q.parent[fn] is None else q.parent[fn].pairs, q.klabel[fn])
+            for fn in q.fns
+        )
+    table = sorted((fn.pairs, v) for fn, v in res.table.items())
+    return (res.found, res.level, res.stage, res.exhaustive, res.searched, table, frag)
+
+
+# sha256 of decide's answers on the benchmark's four fragments, taken before
+# keep sets became node masks: planted, separating and two seeded random
+# labellings, m in {0, 1}, max_level in {0, depth - 1, None}
+_DECIDE_GOLDEN = {
+    "2x3": "a2e5b2943dcf7721b1416f4504c049d0cefdb6cc572ad05552595d53a3a9b63b",
+    "3x3": "f628f44b0232e87c5a7ae04f85fa5fdf47c3e010b3d5535bcb7dca76bc60f8ce",
+    "3x4": "0077d0f6a9d2893630b07f3ca5a13bb37dc5e88b699ef63afe8cf7e352a0394d",
+    "2x2x3": "5330b115cb707a69fafe2b0acd11ecafb4f279215614351ee266c05df3d53302",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECIDE_GOLDEN))
+def test_decide_answers_match_golden_digests(name):
+    p, tree, params = _fragment(name)
+    answers = []
+    for kind, label in _labelings(p).items():
+        for m in (0, 1):
+            for max_level in (0, p.depth - 1, None):
+                res = decide(p, label, m, tree, params, default_shape(), max_level=max_level)
+                answers.append((kind, m, max_level, _answer(res)))
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == _DECIDE_GOLDEN[name]

@@ -267,7 +267,7 @@ def test_memoized_unions_match_cold_validation():
     verdicts = set()
     for p, tree, params, m in cases:
         for keep in _valid_subfragments(p, m + 1, tree, params):
-            q = _subfragment(p, keep)
+            q = _subfragment(p, {fn for j, fn in enumerate(p.fns) if keep >> j & 1})
             warm = validate_condition(q, tree, params)
             assert warm.checks == validate_condition(q, _cold(tree), params).checks
             assert len(tree._memo) <= MEMO_LIMIT
@@ -286,6 +286,38 @@ def test_memoized_unions_match_cold_validation():
     assert validated == 16 + 1 + 64 + 1 + 1331 + 1 + 256
     # the search builds conditions only; a failing clause (v) is the next test's
     assert verdicts == {True}
+
+
+def _clause_v_reference(p, tree):
+    """Clause (v) over every pair of nodes, comparable pairs included."""
+    fnset = set(p.fns)
+    for a, b in itertools.combinations(p.fns, 2):
+        u = union_spec(tree, a, b)
+        if isinstance(u, SpecFn) and u not in fnset:
+            return ClauseCheck("(v) closure", False, f"union of {a} and {b} missing")
+    return ClauseCheck("(v) closure", True)
+
+
+def test_clause_v_looks_up_no_union_of_comparable_nodes():
+    """The union of comparable nodes is the larger node, so clause (v) skips
+    those pairs: its verdict and witness are those of the scan over every
+    pair, and the memo holds no union of comparable nodes."""
+    t2, g2 = two_level_tree(), profile("cond2")
+    t3, g3 = wide_tree(6, 3), profile("cond3")
+    a, b = SpecFn.make({0: 0}), SpecFn.make({1: 0})  # incomparable nodes
+    missing = ConditionFragment({EMPTY_FN: None, a: EMPTY_FN, b: EMPTY_FN}, {EMPTY_FN: 0, a: 0, b: 0})
+    cases = [(depth2_fragment(t2, g2, branching=br), t2, g2) for br in ((2, 3), (3, 3), (3, 4))]
+    cases += [(depth3_fragment(t3, g3), t3, g3), (missing, t2, g2)]
+    verdicts = set()
+    for p, tree, params in cases:
+        cold = _cold(tree)
+        (check,) = [c for c in validate_condition(p, cold, params).checks if c.clause == "(v) closure"]
+        assert check == _clause_v_reference(p, tree)
+        verdicts.add(check.ok)
+        unions = [key[1:] for key in cold._memo if key[0] == "union_spec"]
+        assert unions
+        assert not [(x, y) for x, y in unions if x.extends(y) or y.extends(x)]
+    assert verdicts == {True, False}
 
 
 def test_missing_union_is_reported_from_the_memo():
