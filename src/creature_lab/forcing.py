@@ -50,6 +50,7 @@ class ConditionFragment:
         "_children",
         "_internal",
         "_root",
+        "_decide_index",
     )
 
     def __init__(
@@ -99,6 +100,8 @@ class ConditionFragment:
         for fn in self.fns:
             if fn not in self.klabel:
                 raise ConstructionError(f"missing klabel for {fn}")
+        # (tree, params) -> homogenize's index of label-free facts for decide
+        self._decide_index: dict = {}
 
     # -- basic accessors ---------------------------------------------------
     @property

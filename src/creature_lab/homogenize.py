@@ -15,6 +15,14 @@ level becomes a node set, built as a fragment, validated and checked against
 p in the graded order.  decide does not purify: against the set of
 constant-cone nodes, which holds every leaf, purify keeps the whole
 fragment, so it could only repeat the first stage.
+
+What decide derives from a fragment without reading a label lives in the
+fragment, one index per (tree, params), made lazily and read by every later
+call: whether a node with a subset of its children is a valid creature, and
+each node's cone leaves with the leaf the delta-system of their domains
+prefers.  The exhaustive enumeration is not kept there, since one (fragment,
+m) pair can have up to the enumeration limit of keep masks; it is rebuilt
+on every call from the remembered verdicts.
 """
 
 from __future__ import annotations
@@ -264,6 +272,54 @@ def _cone_labels(p: ConditionFragment, fn: SpecFn, label: LeafLabeling) -> set[i
     }
 
 
+class _DecideIndex:
+    """decide's label-free facts about one fragment under one (tree, params).
+
+    Each fact is computed the first time a call asks for it and read by every
+    later call on the same fragment, whatever its labelling or m:
+    - whether an internal node with a nonempty subset of its children (a
+      tuple in p.children order, which names the node) is a valid creature;
+    - each node's cone leaves, and the leaf that the delta-system of their
+      domains prefers (None when it picks no member).
+    The index lives in the fragment (see `_index`) and holds its nodes but
+    never the fragment, so it makes no reference cycle.
+    """
+
+    __slots__ = ("tree", "params", "_valid", "_cones")
+
+    def __init__(self, tree: AmbientTree, params: GrowthSequences):
+        self.tree = tree
+        self.params = params
+        self._valid: dict[tuple[SpecFn, ...], bool] = {}
+        self._cones: dict[SpecFn, tuple[tuple[SpecFn, ...], SpecFn | None]] = {}
+
+    def valid(self, p: ConditionFragment, fn: SpecFn, kids: tuple[SpecFn, ...]) -> bool:
+        ok = self._valid.get(kids)
+        if ok is None:
+            c = creature_at(p, fn, self.params)
+            cand = SimpleCreature.make(c.i, c.base, kids)
+            ok = self._valid[kids] = validate_creature(cand, self.params, self.tree).ok
+        return ok
+
+    def cone(self, p: ConditionFragment, fn: SpecFn) -> tuple[tuple[SpecFn, ...], SpecFn | None]:
+        entry = self._cones.get(fn)
+        if entry is None:
+            leaves = tuple(leaf for leaf in p.cone_nodes(fn) if not p.children(leaf))
+            _, members = _delta_system([leaf.domset() for leaf in leaves], self.tree)
+            entry = self._cones[fn] = (leaves, leaves[members[0]] if members else None)
+        return entry
+
+
+def _index(p: ConditionFragment, tree: AmbientTree, params: GrowthSequences) -> _DecideIndex:
+    """p's decide index under (tree, params), made on first use; it dies
+    with p."""
+    key = (tree, params)
+    index = p._decide_index.get(key)
+    if index is None:
+        index = p._decide_index[key] = _DecideIndex(tree, params)
+    return index
+
+
 def _bits(p: ConditionFragment) -> dict[SpecFn, int]:
     """Each node of p -> its bit in a keep mask: bit j stands for p.fns[j]."""
     return {fn: 1 << j for j, fn in enumerate(p.fns)}
@@ -335,26 +391,22 @@ def _uniform_subcone(
     value: int,
     label: LeafLabeling,
     bit: dict[SpecFn, int],
-    tree: AmbientTree,
-    params: GrowthSequences,
+    index: _DecideIndex,
 ) -> int:
     """The mask of the maximal subcone above fn whose leaves all carry
-    `value`, or 0 when there is none."""
+    `value`, or 0 when there is none.  Whether a node with its kept children
+    is a valid creature is read from p's decide index."""
     kids = p.children(fn)
     if not kids:
         return bit[fn] if label.values[fn] == value else 0
     out = bit[fn]
     kept_kids = []
     for ch in kids:
-        sub = _uniform_subcone(p, ch, value, label, bit, tree, params)
+        sub = _uniform_subcone(p, ch, value, label, bit, index)
         if sub:
             out |= sub
             kept_kids.append(ch)
-    if not kept_kids:
-        return 0
-    c = creature_at(p, fn, params)
-    cand = SimpleCreature.make(c.i, c.base, kept_kids)
-    if not validate_creature(cand, params, tree).ok:
+    if not kept_kids or not index.valid(p, fn, tuple(kept_kids)):
         return 0
     return out
 
@@ -375,9 +427,15 @@ def _valid_subfragments(
     is its node's bit ORed with one option of each kept child.  The root's
     own combinations are yielded lazily, so a caller that stops early builds
     no more of them.
+
+    Whether a node with a subset of its children is a valid creature is read
+    from p's decide index.  The enumeration itself is not kept: a (fragment,
+    m) pair can have up to `limit` keep sets, and a list of them per pair would
+    outweigh every other fact the index holds.
     """
     counter = [0]
     bit = _bits(p)
+    index = _index(p, tree, params)
     options: dict[SpecFn, list[int]] = {}
 
     def cone_options(fn: SpecFn, lv: int) -> list[int]:
@@ -396,11 +454,9 @@ def _valid_subfragments(
             subsets = []
             for r in range(1, len(kids) + 1):
                 subsets.extend(itertools.combinations(kids, r))
-        c = creature_at(p, fn, params)
         own = bit[fn]
         for subset in subsets:
-            cand = SimpleCreature.make(c.i, c.base, subset)
-            if not validate_creature(cand, params, tree).ok:
+            if not index.valid(p, fn, subset):
                 continue
             pools = [cone_options(ch, lv + 1) for ch in subset]
             if any(not pool for pool in pools):
@@ -494,14 +550,15 @@ def _greedy_candidates(
     delta-system of the leaf domains orders the value candidates.  decide
     tests each keep mask's labels before it builds the subfragment."""
     bit = _bits(p)
+    index = _index(p, tree, params)
     below = 0  # the number of nodes under level lv: p.fns runs level by level
     for lv in range(1, min(cutoff, p.depth) + 1):
         below += len(p.level_nodes(lv - 1))
         keep = (1 << below) - 1
         for fn in p.level_nodes(lv):
             sub = 0
-            for value in _candidate_values(p, fn, label, tree):
-                sub = _uniform_subcone(p, fn, value, label, bit, tree, params)
+            for value in _candidate_values(p, fn, label, index):
+                sub = _uniform_subcone(p, fn, value, label, bit, index)
                 if sub:
                     break
             if not sub:
@@ -512,20 +569,19 @@ def _greedy_candidates(
 
 
 def _candidate_values(
-    p: ConditionFragment, fn: SpecFn, label: LeafLabeling, tree: AmbientTree
+    p: ConditionFragment, fn: SpecFn, label: LeafLabeling, index: _DecideIndex
 ) -> list[int]:
-    """Cone label values, most frequent first; delta-system root of the
-    leaf domains breaks ties (richer shared structure first)."""
-    leaves = [leaf for leaf in p.cone_nodes(fn) if not p.children(leaf)]
+    """Cone label values, most frequent first, except that the label of
+    the leaf the delta-system of the leaf domains prefers (richer shared
+    structure) goes first.  The cone's leaves and that leaf come from p's
+    decide index; only their labels are read per call."""
+    leaves, preferred = index.cone(p, fn)
+    values = label.values
     freq: dict[int, int] = {}
     for leaf in leaves:
-        freq[label.values[leaf]] = freq.get(label.values[leaf], 0) + 1
+        freq[values[leaf]] = freq.get(values[leaf], 0) + 1
     ordered = sorted(freq, key=lambda v: (-freq[v], v))
-    if len(ordered) > 1:
-        root, members = _delta_system([leaves[j].domset() for j in range(len(leaves))], tree)
-        if members:
-            preferred = label.values[leaves[members[0]]]
-            if preferred in ordered:
-                ordered.remove(preferred)
-                ordered.insert(0, preferred)
+    if len(ordered) > 1 and preferred is not None:
+        ordered.remove(values[preferred])
+        ordered.insert(0, values[preferred])
     return ordered

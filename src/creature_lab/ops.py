@@ -2,8 +2,8 @@
 
 Each operation checks its premise clause by clause, builds the new creature
 exactly as the corresponding construction prescribes, and returns the
-creature together with the bound the construction guarantees plus a trace of
-the choices made, so a failed verification is diagnosable.
+creature together with the bound the construction guarantees; glue and
+rebase add a trace of the figures their verification reads.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def glue(
     return OpResult(
         creature=d,
         bound=m0,
-        trace={"lstar": lstar, "norm0_c": n0, "kstar": kstar},
+        trace={"lstar": lstar, "norm0_c": n0},
     )
 
 
@@ -149,7 +149,6 @@ def fill(
             if any(tree.less(x, y) for x in xs_sorted):
                 forbidden_common.add(v)
     new_members: list[SpecFn] = []
-    per_eta_tuples: dict[SpecFn, int] = {}
     used_values: set[int] = set()
     for eta in c.valrange:
         own_comparable = {
@@ -183,15 +182,10 @@ def fill(
             count += 1
         if count == 0:
             raise ValidationError(f"fill: no admissible tuple for member {eta}")
-        per_eta_tuples[eta] = count
     d = SimpleCreature.make(i, c.base, new_members)
     _require(len(d.valrange) <= params.n1[i], "post", "output value range too large")
     validate_creature(d, params, tree).require("fill produced an invalid creature")
-    return OpResult(
-        creature=d,
-        bound=k - m,
-        trace={"k": k, "m": m, "xs": xs_sorted, "tuples": dict(per_eta_tuples)},
-    )
+    return OpResult(creature=d, bound=k - m)
 
 
 def rebase(
@@ -250,7 +244,7 @@ def rebase(
     return OpResult(
         creature=d,
         bound=n0 - l1 - l2,
-        trace={"l1": l1, "l2": l2, "norm0_c": n0},
+        trace={"l1": l1, "l2": l2},
     )
 
 
@@ -284,7 +278,7 @@ def shrink_to_norm(
                 f"(norm0 = {cur_norm}, target {k}); the value range has no removable member"
             )
     validate_creature(current, params, tree).require("shrink_to_norm produced an invalid creature")
-    return OpResult(creature=current, bound=k, trace={"start_norm": n0})
+    return OpResult(creature=current, bound=k)
 
 
 @dataclass

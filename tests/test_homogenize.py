@@ -1,10 +1,12 @@
+import gc
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 
-from creature_lab import homogenize
+from creature_lab import homogenize, verify
 from creature_lab.creature import (
     ClauseCheck,
     ClauseReport,
@@ -13,7 +15,7 @@ from creature_lab.creature import (
     validate_creature,
 )
 from creature_lab.errors import DomainError, PreconditionError
-from creature_lab.forcing import creature_at, leq, leq_n, validate_condition
+from creature_lab.forcing import ConditionFragment, creature_at, leq, leq_n, validate_condition
 from creature_lab.generators import (
     depth2_fragment,
     depth3_fragment,
@@ -37,7 +39,7 @@ from creature_lab.homogenize import (
     is_upward_closed,
     purify,
 )
-from creature_lab.params import default_shape, log2ceil
+from creature_lab.params import default_shape, log2ceil, make_growth
 
 
 @pytest.fixture
@@ -551,3 +553,75 @@ def test_decide_answers_match_golden_digests(name):
                 res = decide(p, label, m, tree, params, default_shape(), max_level=max_level)
                 answers.append((kind, m, max_level, _answer(res)))
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == _DECIDE_GOLDEN[name]
+
+
+# -- decide's index of label-free facts --------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(_DECIDE_GOLDEN))
+def test_a_warm_index_answers_as_a_cold_one(name):
+    """decide on one reused fragment, whose index fills from call to call,
+    answers each labelling as decide on a fresh copy with an empty index."""
+    p, tree, params = _fragment(name)
+    rng = random.Random(1900)
+    labelings = [LeafLabeling(random_labeling(rng, p, values=rng.randint(2, 3))) for _ in range(20)]
+    stages = set()
+    for label in labelings:
+        for m in (0, 1):
+            for max_level in (p.depth - 1, None):
+                warm = decide(p, label, m, tree, params, default_shape(), max_level=max_level)
+                fresh = ConditionFragment(p.parent, p.klabel, p.coverage)
+                cold = decide(fresh, label, m, tree, params, default_shape(), max_level=max_level)
+                assert _answer(warm) == _answer(cold), (m, max_level)
+                stages.add(warm.stage)
+    assert list(p._decide_index) == [(tree, params)]
+    assert len(stages) > 1
+
+
+def test_the_index_is_kept_per_tree_and_per_growth_sequences():
+    """One fragment under two trees (equal, but two objects) or two growth
+    sequences gets one index per pair; a pair used again reuses its own."""
+    p, tree, params = _fragment("3x3")
+    label = _last_level_labels(p, planted=True)
+    other_tree = two_level_tree()
+    roomier = make_growth(2, ((4, 33, 1100), (4, 40, 1100), (8, 80, 2500)))
+    pairs = [(tree, params), (other_tree, params), (tree, roomier), (tree, params)]
+    for t, g in pairs:
+        res = decide(p, label, 0, t, g, default_shape(), max_level=1)
+        assert (res.found, res.stage) == (True, "greedy")
+    assert list(p._decide_index) == pairs[:3]
+    for (t, g), index in p._decide_index.items():
+        assert (index.tree, index.params) == (t, g)
+
+
+def test_the_index_references_no_fragment():
+    """Everything reachable from a filled index, types and modules aside,
+    is no ConditionFragment: the index makes no reference cycle."""
+    p, tree, params = _fragment("2x2x3")
+    decide(p, _last_level_labels(p, planted=True), 0, tree, params, default_shape())
+    decide(p, _last_level_labels(p, planted=False), 0, tree, params, default_shape(), max_level=1)
+    (index,) = p._decide_index.values()
+    seen = {id(index)}
+    todo = [index]
+    while todo:
+        obj = todo.pop()
+        assert not isinstance(obj, ConditionFragment)
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, (type, types.ModuleType)) or id(ref) in seen:
+                continue
+            seen.add(id(ref))
+            todo.append(ref)
+    assert len(seen) > len(p.fns)
+
+
+def test_the_decide_oracle_reads_no_index(monkeypatch):
+    p, tree, params = _fragment("3x3")
+    cases = [(_last_level_labels(p, planted=planted), m) for planted in (True, False) for m in (0, 1)]
+    found = [decide(p, label, m, tree, params, default_shape(), max_level=1).found for label, m in cases]
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached decide's index")
+
+    monkeypatch.setattr(homogenize, "_index", refuse)
+    monkeypatch.setattr(homogenize, "_DecideIndex", refuse)
+    assert [verify._decide_oracle(p, label, m, tree, params, 1) for label, m in cases] == found
