@@ -155,8 +155,26 @@ class ConditionFragment:
                 stack.append(ch)
         return out
 
+    def cone_leaves(self, fn: SpecFn) -> list[SpecFn]:
+        """The leaves among cone_nodes(fn), in that order."""
+        return [x for x in self.cone_nodes(fn) if not self._children[x]]
+
     def __repr__(self) -> str:
         return f"ConditionFragment(depth={self.depth}, nodes={len(self.fns)})"
+
+
+def subfragment(p: ConditionFragment, keep: set[SpecFn]) -> ConditionFragment:
+    """The fragment on p's nodes in keep; a kept node whose parent is dropped
+    becomes a root."""
+    parent = {}
+    klabel = {}
+    for fn in p.fns:
+        if fn not in keep:
+            continue
+        par = p.parent[fn]
+        parent[fn] = par if par in keep or par is None else None
+        klabel[fn] = p.klabel[fn]
+    return ConditionFragment(parent=parent, klabel=klabel, coverage=p.coverage)
 
 
 def kind_of(p: ConditionFragment, params: GrowthSequences) -> int:
@@ -663,9 +681,7 @@ def smoothen(
                 continue
             c = creature_at(p, eta, params)
             n0 = cached_norm0(c, tree, params)
-            need = len(
-                set().union(*(missing_per_leaf[l] for l in _leaves_under(p, eta)))
-            )
+            need = len(set().union(*(missing_per_leaf[l] for l in p.cone_leaves(eta))))
             if n0 < need + 1:
                 ok = False
                 blocking = f"norm0 = {n0} at level {lv} cannot absorb {need} nodes"
@@ -705,7 +721,7 @@ def smoothen(
         kids = p.children(eta)
         if not kids:
             raise PreconditionError(f"fill level has a leaf {eta}; deepen the fragment")
-        need = sorted(set().union(*(missing_per_leaf[l] for l in _leaves_under(p, eta))))
+        need = sorted(set().union(*(missing_per_leaf[l] for l in p.cone_leaves(eta))))
         c = creature_at(p, eta, params)
         if need:
             filled = fill(c, need, tree, params).creature
@@ -728,7 +744,3 @@ def smoothen(
     if not leq_n(p, out, m, tree, params):
         raise ValidationError("smoothen output does not dominate the input at grade m")
     return out
-
-
-def _leaves_under(p: ConditionFragment, eta: SpecFn) -> list[SpecFn]:
-    return [fn for fn in p.cone_nodes(eta) if not p.children(fn)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .creature import SimpleCreature, validate_creature
 from .errors import PreconditionError
-from .forcing import ConditionFragment, Coverage, creature_at, validate_condition
+from .forcing import ConditionFragment, Coverage, creature_at, subfragment, validate_condition
 from .params import GrowthSequences, make_growth
 from .specfn import SpecFn, is_spec
 from .tree_model import AmbientTree, build_tree
@@ -331,39 +331,28 @@ def shrink_fragment_above(
     params: GrowthSequences,
 ) -> ConditionFragment | None:
     """A random proper subfragment keeping levels <= n frozen, or None."""
-    parent: dict[SpecFn, SpecFn | None] = {p.root: None}
-    klabel: dict[SpecFn, int] = {p.root: p.klabel[p.root]}
+    keep = {p.root}
     changed = False
 
-    def build(fn: SpecFn, lv: int) -> bool:
+    def collect(fn: SpecFn, lv: int) -> None:
         nonlocal changed
         kids = p.children(fn)
-        if not kids:
-            return True
-        keep = list(kids)
         if lv >= n and len(kids) > 2 and rng.random() < 0.6:
             drop = rng.choice(kids)
             cand = [ch for ch in kids if ch != drop]
             c = creature_at(p, fn, params)
-            sub = SimpleCreature.make(c.i, c.base, cand)
-            if validate_creature(sub, params, tree).ok:
-                keep = cand
+            if validate_creature(SimpleCreature.make(c.i, c.base, cand), params, tree).ok:
+                kids = cand
                 changed = True
-        for ch in keep:
-            parent[ch] = fn
-            klabel[ch] = p.klabel[ch]
-            if not build(ch, lv + 1):
-                return False
-        return True
+        for ch in kids:
+            keep.add(ch)
+            collect(ch, lv + 1)
 
-    if not build(p.root, 0):
-        return None
+    collect(p.root, 0)
     if not changed:
         return None
-    out = ConditionFragment(parent=parent, klabel=klabel, coverage=p.coverage)
-    if not validate_condition(out, tree, params).ok:
-        return None
-    return out
+    out = subfragment(p, keep)
+    return out if validate_condition(out, tree, params).ok else None
 
 
 def random_upward_closed(

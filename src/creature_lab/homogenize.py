@@ -18,11 +18,13 @@ fragment, so it could only repeat the first stage.
 
 What decide derives from a fragment without reading a label lives in the
 fragment, one index per (tree, params), made lazily and read by every later
-call: whether a node with a subset of its children is a valid creature, and
-each node's cone leaves with the leaf the delta-system of their domains
-prefers.  The exhaustive enumeration is not kept there, since one (fragment,
-m) pair can have up to the enumeration limit of keep masks; it is rebuilt
-on every call from the remembered verdicts.
+call: the node numbering of keep masks, whether a node with a subset of its
+children is a valid creature, and each node's preferred leaf, the one the
+delta-system of its cone's leaf domains picks.  How many leaves of a cone
+carry each label is read off the call's label table.  The exhaustive
+enumeration is not kept in the index, since one (fragment, m) pair can have
+up to the enumeration limit of keep masks; it is rebuilt on every call from
+the remembered verdicts.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from dataclasses import dataclass, field
 
 from .creature import Creature, SimpleCreature, cached_norm0, normhalf, validate_creature
 from .errors import DomainError, PreconditionError, ValidationError
-from .forcing import (
-    ConditionFragment,
-    creature_at,
-    kind_of,
-    leq_n,
-    validate_condition,
-)
+from .forcing import ConditionFragment, creature_at, leq_n, subfragment, validate_condition
 from .ops import halve
 from .params import GrowthSequences, NormShape
 from .specfn import SpecFn
@@ -64,18 +60,6 @@ def is_upward_closed(p: ConditionFragment, xset: frozenset[SpecFn]) -> bool:
             if ch not in xset:
                 return False
     return True
-
-
-def _subfragment(p: ConditionFragment, keep: set[SpecFn]) -> ConditionFragment:
-    parent = {}
-    klabel = {}
-    for fn in p.fns:
-        if fn not in keep:
-            continue
-        par = p.parent[fn]
-        parent[fn] = par if par in keep or par is None else None
-        klabel[fn] = p.klabel[fn]
-    return ConditionFragment(parent=parent, klabel=klabel, coverage=p.coverage)
 
 
 @dataclass
@@ -107,7 +91,6 @@ def purify(
         if n0 <= 0:
             raise PreconditionError(f"norm0 = 0 at {eta}; purify needs positive norms")
 
-    ip = kind_of(p, params)
     # the frozen front: the shallowest level from which every deeper creature
     # keeps norm >= kstar + 1 (so the restriction stays a graded extension)
     front_level = None
@@ -203,7 +186,7 @@ def purify(
         else:
             alternatives[nu] = "disjoint"
 
-    q = _subfragment(p, keep)
+    q = subfragment(p, keep)
     validate_condition(q, tree, params).require("purify output invalid")
     if not leq_n(p, q, kstar, tree, params):
         raise ValidationError("purify output is not a graded extension at kstar")
@@ -265,33 +248,31 @@ class DecideResult:
 
 
 def _cone_labels(p: ConditionFragment, fn: SpecFn, label: LeafLabeling) -> set[int]:
-    return {
-        label.values[leaf]
-        for leaf in p.cone_nodes(fn)
-        if not p.children(leaf)
-    }
+    return {label.values[leaf] for leaf in p.cone_leaves(fn)}
 
 
 class _DecideIndex:
     """decide's label-free facts about one fragment under one (tree, params).
 
-    Each fact is computed the first time a call asks for it and read by every
-    later call on the same fragment, whatever its labelling or m:
+    `bit` numbers the nodes for keep masks: bit j stands for p.fns[j].  The
+    other facts are computed the first time a call asks for them and read by
+    every later call on the same fragment, whatever its labelling or m:
     - whether an internal node with a nonempty subset of its children (a
       tuple in p.children order, which names the node) is a valid creature;
-    - each node's cone leaves, and the leaf that the delta-system of their
-      domains prefers (None when it picks no member).
+    - each node's preferred leaf, the one that the delta-system of its cone's
+      leaf domains picks first (None when it picks no member).
     The index lives in the fragment (see `_index`) and holds its nodes but
     never the fragment, so it makes no reference cycle.
     """
 
-    __slots__ = ("tree", "params", "_valid", "_cones")
+    __slots__ = ("tree", "params", "bit", "_valid", "_preferred")
 
-    def __init__(self, tree: AmbientTree, params: GrowthSequences):
+    def __init__(self, fns: tuple[SpecFn, ...], tree: AmbientTree, params: GrowthSequences):
         self.tree = tree
         self.params = params
+        self.bit = {fn: 1 << j for j, fn in enumerate(fns)}
         self._valid: dict[tuple[SpecFn, ...], bool] = {}
-        self._cones: dict[SpecFn, tuple[tuple[SpecFn, ...], SpecFn | None]] = {}
+        self._preferred: dict[SpecFn, SpecFn | None] = {}
 
     def valid(self, p: ConditionFragment, fn: SpecFn, kids: tuple[SpecFn, ...]) -> bool:
         ok = self._valid.get(kids)
@@ -301,13 +282,12 @@ class _DecideIndex:
             ok = self._valid[kids] = validate_creature(cand, self.params, self.tree).ok
         return ok
 
-    def cone(self, p: ConditionFragment, fn: SpecFn) -> tuple[tuple[SpecFn, ...], SpecFn | None]:
-        entry = self._cones.get(fn)
-        if entry is None:
-            leaves = tuple(leaf for leaf in p.cone_nodes(fn) if not p.children(leaf))
+    def preferred(self, p: ConditionFragment, fn: SpecFn) -> SpecFn | None:
+        if fn not in self._preferred:
+            leaves = p.cone_leaves(fn)
             _, members = _delta_system([leaf.domset() for leaf in leaves], self.tree)
-            entry = self._cones[fn] = (leaves, leaves[members[0]] if members else None)
-        return entry
+            self._preferred[fn] = leaves[members[0]] if members else None
+        return self._preferred[fn]
 
 
 def _index(p: ConditionFragment, tree: AmbientTree, params: GrowthSequences) -> _DecideIndex:
@@ -316,13 +296,8 @@ def _index(p: ConditionFragment, tree: AmbientTree, params: GrowthSequences) -> 
     key = (tree, params)
     index = p._decide_index.get(key)
     if index is None:
-        index = p._decide_index[key] = _DecideIndex(tree, params)
+        index = p._decide_index[key] = _DecideIndex(p.fns, tree, params)
     return index
-
-
-def _bits(p: ConditionFragment) -> dict[SpecFn, int]:
-    """Each node of p -> its bit in a keep mask: bit j stands for p.fns[j]."""
-    return {fn: 1 << j for j, fn in enumerate(p.fns)}
 
 
 LabelTable = tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
@@ -390,19 +365,19 @@ def _uniform_subcone(
     fn: SpecFn,
     value: int,
     label: LeafLabeling,
-    bit: dict[SpecFn, int],
     index: _DecideIndex,
 ) -> int:
     """The mask of the maximal subcone above fn whose leaves all carry
-    `value`, or 0 when there is none.  Whether a node with its kept children
-    is a valid creature is read from p's decide index."""
+    `value`, or 0 when there is none.  The node numbering, and whether a node
+    with its kept children is a valid creature, are read from p's decide
+    index."""
     kids = p.children(fn)
     if not kids:
-        return bit[fn] if label.values[fn] == value else 0
-    out = bit[fn]
+        return index.bit[fn] if label.values[fn] == value else 0
+    out = index.bit[fn]
     kept_kids = []
     for ch in kids:
-        sub = _uniform_subcone(p, ch, value, label, bit, index)
+        sub = _uniform_subcone(p, ch, value, label, index)
         if sub:
             out |= sub
             kept_kids.append(ch)
@@ -434,8 +409,8 @@ def _valid_subfragments(
     outweigh every other fact the index holds.
     """
     counter = [0]
-    bit = _bits(p)
     index = _index(p, tree, params)
+    bit = index.bit
     options: dict[SpecFn, list[int]] = {}
 
     def cone_options(fn: SpecFn, lv: int) -> list[int]:
@@ -510,7 +485,7 @@ def decide(
     def candidates():
         """(keep mask, stage, searched) in stage order."""
         yield (1 << len(p.fns)) - 1, "trivial", 0
-        for keep in _greedy_candidates(p, label, cutoff, tree, params):
+        for keep in _greedy_candidates(p, label, label_table, cutoff, tree, params):
             yield keep, "greedy", 0
         for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
             yield keep, "exhaustive", searched
@@ -523,7 +498,7 @@ def decide(
         if stage == "trivial":
             q = p  # p <=_m p needs no check
         else:
-            q = _subfragment(p, {fn for j, fn in enumerate(p.fns) if keep >> j & 1})
+            q = subfragment(p, {fn for j, fn in enumerate(p.fns) if keep >> j & 1})
             if not (validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params)):
                 continue
         # each kept node of the level, with the one label that meets keep
@@ -541,24 +516,25 @@ def decide(
 def _greedy_candidates(
     p: ConditionFragment,
     label: LeafLabeling,
+    table: LabelTable,
     cutoff: int,
     tree: AmbientTree,
     params: GrowthSequences,
 ):
     """Per level up to the cutoff, the keep mask of every lower node and a
-    value-uniform maximal subcone above each node of that level; the
-    delta-system of the leaf domains orders the value candidates.  decide
-    tests each keep mask's labels before it builds the subfragment."""
-    bit = _bits(p)
+    value-uniform maximal subcone above each node of that level; the leaf
+    counts in table (_cone_leaf_labels(p, label)) and the delta-system of the
+    leaf domains order the value candidates.  decide tests each keep mask's
+    labels before it builds the subfragment."""
     index = _index(p, tree, params)
     below = 0  # the number of nodes under level lv: p.fns runs level by level
     for lv in range(1, min(cutoff, p.depth) + 1):
         below += len(p.level_nodes(lv - 1))
         keep = (1 << below) - 1
-        for fn in p.level_nodes(lv):
+        for fn, (_, pairs) in zip(p.level_nodes(lv), table[lv]):
             sub = 0
-            for value in _candidate_values(p, fn, label, index):
-                sub = _uniform_subcone(p, fn, value, label, bit, index)
+            for value in _candidate_values(p, fn, pairs, label, index):
+                sub = _uniform_subcone(p, fn, value, label, index)
                 if sub:
                     break
             if not sub:
@@ -569,19 +545,20 @@ def _greedy_candidates(
 
 
 def _candidate_values(
-    p: ConditionFragment, fn: SpecFn, label: LeafLabeling, index: _DecideIndex
+    p: ConditionFragment,
+    fn: SpecFn,
+    pairs: tuple[tuple[int, int], ...],
+    label: LeafLabeling,
+    index: _DecideIndex,
 ) -> list[int]:
-    """Cone label values, most frequent first, except that the label of
-    the leaf the delta-system of the leaf domains prefers (richer shared
-    structure) goes first.  The cone's leaves and that leaf come from p's
-    decide index; only their labels are read per call."""
-    leaves, preferred = index.cone(p, fn)
-    values = label.values
-    freq: dict[int, int] = {}
-    for leaf in leaves:
-        freq[values[leaf]] = freq.get(values[leaf], 0) + 1
-    ordered = sorted(freq, key=lambda v: (-freq[v], v))
-    if len(ordered) > 1 and preferred is not None:
-        ordered.remove(values[preferred])
-        ordered.insert(0, values[preferred])
+    """Cone label values, most leaves first and then by value, except that
+    the label of the leaf the delta-system of the leaf domains prefers
+    (richer shared structure) goes first.  The leaf counts come from fn's
+    (label, leaf mask) pairs in the call's label table, the preferred leaf
+    from p's decide index."""
+    ordered = [value for value, _ in sorted(pairs, key=lambda pair: (-pair[1].bit_count(), pair[0]))]
+    preferred = index.preferred(p, fn) if len(ordered) > 1 else None
+    if preferred is not None:
+        ordered.remove(label.values[preferred])
+        ordered.insert(0, label.values[preferred])
     return ordered

@@ -45,7 +45,7 @@ def glue(
     domain-budget step of the construction exactly (2^m0 <= n2[i]/l*).
     """
     i = c.i
-    validate_creature(c, params, tree).require("norm0 of invalid creature")
+    validate_creature(c, params, tree).require("glue of invalid creature")
     n0 = cached_norm0(c, tree, params)
     _require(n0 > 0, "(b)", f"norm0(c) = {n0} not > 0")
     _require(kstar > 1, "(c)", f"kstar = {kstar} not > 1")
@@ -54,7 +54,6 @@ def glue(
         "(c)",
         f"|valrange|*kstar = {len(c.valrange) * kstar} exceeds n1[i] = {params.n1[i]}",
     )
-    base_dom = c.base.domset()
     for eta in c.valrange:
         for k in range(kstar):
             rho = extensions.get((eta, k))
@@ -110,7 +109,7 @@ def fill(
     assigned to the sorted xs in increasing order.
     """
     i = c.i
-    validate_creature(c, params, tree).require("norm0 of invalid creature")
+    validate_creature(c, params, tree).require("fill of invalid creature")
     k = cached_norm0(c, tree, params)
     m = len(xs)
     _require(k >= 1, "(b)", f"norm0(c) = {k} not >= 1")
@@ -200,7 +199,7 @@ def rebase(
     that fails is a clause (c) error, since dropping it could break the bound.
     """
     i = c.i
-    validate_creature(c, params, tree).require("norm0 of invalid creature")
+    validate_creature(c, params, tree).require("rebase of invalid creature")
     n0 = cached_norm0(c, tree, params)
     _require(n0 >= 1, "(b)", f"norm0(c) = {n0} not >= 1")
     _require(etastar.extends(c.base), "(c)", "etastar does not contain the base")
@@ -255,7 +254,7 @@ def shrink_to_norm(
     params: GrowthSequences,
 ) -> OpResult:
     """A sub-value-range creature with norm0 exactly k (1 <= k <= norm0)."""
-    validate_creature(c, params, tree).require("norm0 of invalid creature")
+    validate_creature(c, params, tree).require("shrink of invalid creature")
     n0 = cached_norm0(c, tree, params)
     _require(1 <= k <= n0, "pre", f"need 1 <= k <= norm0(c) = {n0}, got {k}")
     current = c

@@ -30,14 +30,8 @@ def log2ceil_ratio(num: int, den: int) -> int:
         raise DomainError(f"log2ceil_ratio({num}, {den})")
     if num <= den:
         return 0
-    # smallest m with 2^m * den >= num
-    m = (num - 1).bit_length() - den.bit_length() + 1
-    m = max(m, 0)
-    while (den << m) < num:
-        m += 1
-    while m > 0 and (den << (m - 1)) >= num:
-        m -= 1
-    return m
+    # the smallest m with 2^m >= ceil(num / den), that is with 2^m * den >= num
+    return ((num - 1) // den).bit_length()
 
 
 def log2floor_ratio(num: int, den: int) -> int:

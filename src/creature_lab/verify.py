@@ -440,6 +440,10 @@ def _bigness_violations(c: SimpleCreature, tree, params) -> dict:
     def floorlog(x: int) -> int:
         return x.bit_length() - 1 if x > 0 else 0
 
+    def missed(whole, side1, side2) -> int:
+        """The k < floor(whole) at which neither side keeps k (norms are >= 0)."""
+        return max(0, int(whole) - int(max(side1, side2)) - 1)
+
     for mask in range(1, 2 ** len(members) - 1, 2):
         side1 = [m for j, m in enumerate(members) if mask >> j & 1]
         side2 = [m for j, m in enumerate(members) if not mask >> j & 1]
@@ -450,20 +454,11 @@ def _bigness_violations(c: SimpleCreature, tree, params) -> dict:
         nh1 = min(n01, normstar(c1, params))
         nh2 = min(n02, normstar(c2, params))
         out["splits"] += 1
-        for k in range(0, log2ceil(n0_all)):
-            if log2ceil(n0_all) >= k + 1 and not (log2ceil(n01) >= k or log2ceil(n02) >= k):
-                out["norm1_ceil"] += 1
-        for k in range(0, log2ceil(nh_all)):
-            if log2ceil(nh_all) >= k + 1 and not (log2ceil(nh1) >= k or log2ceil(nh2) >= k):
-                out["norm2_ceil"] += 1
-        for k in range(0, floorlog(n0_all)):
-            if floorlog(n0_all) >= k + 1 and not (floorlog(n01) >= k or floorlog(n02) >= k):
-                out["norm1_floor"] += 1
+        out["norm1_ceil"] += missed(log2ceil(n0_all), log2ceil(n01), log2ceil(n02))
+        out["norm2_ceil"] += missed(log2ceil(nh_all), log2ceil(nh1), log2ceil(nh2))
+        out["norm1_floor"] += missed(floorlog(n0_all), floorlog(n01), floorlog(n02))
         for kl in (1, 2):
-            f_all = NormShape.f(nh_all, kl)
-            for k in range(0, int(f_all)):
-                if f_all >= k + 1 and not (NormShape.f(nh1, kl) >= k or NormShape.f(nh2, kl) >= k):
-                    out["norm"] += 1
+            out["norm"] += missed(NormShape.f(nh_all, kl), NormShape.f(nh1, kl), NormShape.f(nh2, kl))
     return out
 
 
@@ -947,27 +942,17 @@ def _run_one(suite: str, seed: int, index: int) -> dict:
     return {"index": index, **_evaluate(_RUNNERS[suite], _rng_for(seed, index))}
 
 
-def _run_range(args: tuple[str, int, int, int]) -> list[dict]:
-    suite, seed, start, stop = args
-    return [_run_one(suite, seed, j) for j in range(start, stop)]
-
-
 def run_suite(suite: str, count: int, seed: int, jobs: int = 1) -> dict:
     """Run a suite; the report is a pure function of (suite, count, seed)."""
     if suite not in _RUNNERS:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
-    results: list[dict]
     if jobs > 1 and count >= 8:
-        chunk = max(1, count // (jobs * 4))
-        ranges = [
-            (suite, seed, lo, min(lo + chunk, count)) for lo in range(0, count, chunk)
-        ]
+        # map keeps the input order, so results run by index
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_range, ranges))
-        results = [r for part in parts for r in part]
+            chunk = max(1, count // (jobs * 4))
+            results = list(pool.map(_run_one, [suite] * count, [seed] * count, range(count), chunksize=chunk))
     else:
-        results = _run_range((suite, seed, 0, count))
-    results.sort(key=lambda r: r["index"])
+        results = [_run_one(suite, seed, j) for j in range(count)]
     failures = [r for r in results if r["status"] == "fail"]
     budget = [r for r in results if r["status"] == "budget"]
     misses = sum(1 for r in results if r["status"] == "miss")

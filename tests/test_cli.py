@@ -520,14 +520,14 @@ def test_decide_negative_max_level_is_an_error(capsys):
     assert "--max-level -1" in out.err and "Traceback" not in out.err
 
 
-@pytest.mark.parametrize("op", ["halve", "split"])
+@pytest.mark.parametrize("op", ["glue", "fill", "rebase", "shrink", "split", "halve"])
 @pytest.mark.parametrize(
     "field, bad, clause",
     [("i", 99, "(a): kind 99"), ("i", -1, "(a): kind -1"), ("valrange", [], "(c): empty value range")],
     ids=["kind-99", "kind-minus-1", "empty-valrange"],
 )
 def test_apply_op_rejects_an_invalid_creature(tmp_path, capsys, op, field, bad, clause):
-    """halve and split validate their creature first, as the other four ops do."""
+    """Each op validates its creature first and names itself in the error."""
     from creature_lab.cli import main
 
     doc = json.loads((FIXDIR / "creatures.json").read_text())

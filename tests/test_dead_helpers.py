@@ -31,3 +31,68 @@ def test_every_helper_has_a_reader_outside_the_tests():
             if not lines_naming[node.name] - {(module, node.lineno)}:
                 dead.append(f"{module.stem}:{node.lineno} {node.name}")
     assert not dead, "no reader outside the tests: " + ", ".join(dead)
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """Names a module imports and never loads; `from __future__` is exempt."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for name, line in imported.items() if name not in loaded]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function's own scope: nested functions, lambdas and
+    comprehensions are left out."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(tree: ast.Module) -> list[tuple[int, str]]:
+    """Locals a function assigns and no code in it (nested scopes included)
+    reads; names declared `nonlocal` or `global` and `_`-names are exempt."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared = set()
+        stored = {}
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Nonlocal, ast.Global)):
+                declared.update(node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                            stored.setdefault(name.id, name.lineno)
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(line, name) for name, line in stored.items() if name not in read | declared]
+    return out
+
+
+def test_no_unused_import_or_unread_local():
+    """No module of `src/creature_lab` or `scripts/` imports a name it never
+    uses or assigns a local that is never read. `__init__.py` re-exports."""
+    paths = sorted((ROOT / "src" / "creature_lab").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        sites = _unread_locals(tree)
+        if path.name != "__init__.py":
+            sites += _unused_imports(tree)
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(sites)]
+    assert not unused, "unused: " + ", ".join(unused)

@@ -15,7 +15,7 @@ from creature_lab.creature import (
     validate_creature,
 )
 from creature_lab.errors import DomainError, PreconditionError
-from creature_lab.forcing import ConditionFragment, creature_at, leq, leq_n, validate_condition
+from creature_lab.forcing import ConditionFragment, creature_at, leq, leq_n, subfragment, validate_condition
 from creature_lab.generators import (
     depth2_fragment,
     depth3_fragment,
@@ -32,7 +32,6 @@ from creature_lab.homogenize import (
     _cone_leaf_labels,
     _greedy_candidates,
     _keep_constant_level,
-    _subfragment,
     _valid_subfragments,
     decide,
     halve_below,
@@ -403,13 +402,13 @@ def test_keep_set_constancy_matches_the_built_fragment(name, m):
     keeps = [(1 << len(p.fns)) - 1]
     for label in labelings.values():
         for cutoff in cutoffs:
-            keeps.extend(_greedy_candidates(p, label, cutoff, tree, params))
+            keeps.extend(_greedy_candidates(p, label, _cone_leaf_labels(p, label), cutoff, tree, params))
     keeps.extend(_valid_subfragments(p, m + 1, tree, params))
     tables = {kind: _cone_leaf_labels(p, label) for kind, label in labelings.items()}
     found = 0
     for keep in keeps:
         nodes = _nodes(p, keep)
-        q = _subfragment(p, nodes)
+        q = subfragment(p, nodes)
         for kind, label in labelings.items():
             for cutoff in cutoffs:
                 expected = _fragment_constant_level(q, label, cutoff)
@@ -426,10 +425,10 @@ def _validate_first_decide(p, label, m, tree, params, max_level=None):
 
     def candidates():
         yield p, "trivial", 0
-        for keep in _greedy_candidates(p, label, cutoff, tree, params):
-            yield _subfragment(p, _nodes(p, keep)), "greedy", 0
+        for keep in _greedy_candidates(p, label, _cone_leaf_labels(p, label), cutoff, tree, params):
+            yield subfragment(p, _nodes(p, keep)), "greedy", 0
         for searched, keep in enumerate(_valid_subfragments(p, m + 1, tree, params), 1):
-            yield _subfragment(p, _nodes(p, keep)), "exhaustive", searched
+            yield subfragment(p, _nodes(p, keep)), "exhaustive", searched
 
     searched = 0
     for q, stage, searched in candidates():

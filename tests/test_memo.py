@@ -25,7 +25,7 @@ from creature_lab.creature import (
     normhalf,
     validate_creature,
 )
-from creature_lab.forcing import ConditionFragment, creature_at, validate_condition
+from creature_lab.forcing import ConditionFragment, creature_at, subfragment, validate_condition
 from creature_lab.generators import (
     PROFILES,
     chain_antichain_tree,
@@ -39,7 +39,7 @@ from creature_lab.generators import (
 )
 from creature_lab.oracle import oracle_norm0
 from creature_lab.params import make_growth
-from creature_lab.homogenize import _subfragment, _valid_subfragments
+from creature_lab.homogenize import _valid_subfragments
 from creature_lab.specfn import EMPTY_FN, SpecFn, is_spec, union_spec
 from creature_lab.tree_model import MEMO_LIMIT, AmbientTree, build_tree
 
@@ -267,7 +267,7 @@ def test_memoized_unions_match_cold_validation():
     verdicts = set()
     for p, tree, params, m in cases:
         for keep in _valid_subfragments(p, m + 1, tree, params):
-            q = _subfragment(p, {fn for j, fn in enumerate(p.fns) if keep >> j & 1})
+            q = subfragment(p, {fn for j, fn in enumerate(p.fns) if keep >> j & 1})
             warm = validate_condition(q, tree, params)
             assert warm.checks == validate_condition(q, _cold(tree), params).checks
             assert len(tree._memo) <= MEMO_LIMIT

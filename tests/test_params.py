@@ -175,6 +175,23 @@ def test_log_helpers():
     assert log2floor_ratio(16, 5) == 1
 
 
+def _log2ceil_ratio_by_definition(num: int, den: int) -> int:
+    """The smallest m >= 0 with den * 2^m >= num."""
+    m = 0
+    while den << m < num:
+        m += 1
+    return m
+
+
+def test_log2ceil_ratio_is_its_definition():
+    for num in range(300):
+        for den in range(1, 40):
+            assert log2ceil_ratio(num, den) == _log2ceil_ratio_by_definition(num, den), (num, den)
+    big = 1 << 40
+    for num, den in [(big, 1), (big + 1, 1), (big, 3), (3 * big + 7, 5), (big * big - 1, big + 1), (big, big - 1)]:
+        assert log2ceil_ratio(num, den) == _log2ceil_ratio_by_definition(num, den), (num, den)
+
+
 def test_kind_for_dom_size():
     g = make_growth(1, ((2, 4), (2, 25), (4, 16)))
     assert g.kind_for_dom_size(0) == 0

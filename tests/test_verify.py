@@ -119,7 +119,7 @@ def test_planted_defect_is_shrunk(monkeypatch, suite):
 def test_crash_is_reported_with_its_index(monkeypatch):
     suite, count, seed = "shrink", 12, 5
     runner = verify._RUNNERS[suite]
-    before = verify._run_range((suite, seed, 0, count))
+    before = [verify._run_one(suite, seed, j) for j in range(count)]
     index = next(r["index"] for r in before if r["status"] == "pass")
     planted = runner.draw(verify._rng_for(seed, index))[2:]
 
@@ -139,7 +139,7 @@ def test_crash_is_reported_with_its_index(monkeypatch):
     assert rep["stats"]["crash"] == 1
     # only a failure that a check returned is shrunk
     assert rep["minimal_counterexample"] is None
-    after = verify._run_range((suite, seed, 0, count))
+    after = [verify._run_one(suite, seed, j) for j in range(count)]
     assert [r for r in after if r["index"] != index] == [r for r in before if r["index"] != index]
 
 
