@@ -3,8 +3,8 @@
 A simple creature is (kind i, base function, value range); a creature adds a
 counter k >= 1.  norm0 is the game norm: the largest level at which every
 choice of forbidden values and branch tuple is beaten by some member of the
-value range.  The computation quantifies over branch traces on the new points
-only; the naive reference implementation lives in `oracle.oracle_norm0`.
+value range.  norm0 decides each level with a hitting-set test on per-trace
+hit masks; the naive reference implementation is `oracle.oracle_norm0`.
 """
 
 from __future__ import annotations
@@ -161,85 +161,109 @@ def _validate_creature(
     return ClauseReport(tuple(checks))
 
 
+def _hit_by(masks, s: int) -> bool:
+    """Whether some set of at most s bits meets every mask: branch on a smallest mask's bits."""
+    if s >= len(masks):
+        return all(masks)
+    if s <= 1:
+        return s == 1 and functools.reduce(operator.and_, masks) != 0
+    smallest = min(masks, key=int.bit_count)
+    while smallest:
+        bit = smallest & -smallest
+        smallest ^= bit
+        if _hit_by([m for m in masks if not m & bit], s - 1):
+            return True
+    return False
+
+
 def norm0(
     c: SimpleCreature,
     tree: AmbientTree,
     params: GrowthSequences,
     validate: bool = True,
 ) -> int:
-    """The game norm, computed with the branch-trace reduction on node masks.
+    """The game norm, computed as a hitting-set test on per-trace hit masks.
 
-    Only traces of branches on the creature's new points and only values that
-    actually occur on new points matter; both reductions are exercised against
-    the naive oracle in the verification suite.
-
-    Nodes and values are bits of ints: a trace is a branch's node mask (the
-    tree's `branch_masks`, bit x for node x) cut down to the relevant nodes,
-    a member's new points are (node bit, value bit) pairs, and a forbidden
-    set is a value mask.
-
-    One loop over k.  An instance at level k is a union of min(k, #traces)
-    traces and a set of min(k, #values) forbidden values; a member wins it
-    when its beta budget holds (|eta| * 2^k <= n2[i]) and it puts no forbidden
-    value on a new point of the union.  The loop returns k - 1 at the first
-    instance no member wins; the order of the instances does not matter.  It
-    ends by itself: once k exceeds both counts, the one instance left forbids
-    every value on every relevant point, and only a member without new points
-    -- the base -- can win it.  So a value range without its base stops
-    there, and one with its base has a closed form: the largest k within the
-    base's beta budget (every k for the empty base, whose budget never runs
-    out).  Capped at n1[i].  Computed afresh on every call; `cached_norm0`
+    Only branch traces (the tree's `branch_masks` cut down to the new points'
+    nodes) and values on new points matter; criterion 1 checks both reductions
+    against the naive oracle.  A member's hits are the values it puts on new
+    points of a union of traces.  Level k is lost when no member is live, or
+    when for some union of t = min(k, #traces) traces a set of at most s =
+    min(k, #values) values (padded up to s) meets every live member's hits.
+    Live means within the beta budget (|eta| * 2^k <= n2[i]) and `alpha_ok`:
+    at least s values are missing from its hits on some trace, for else it
+    loses every instance.  Trace packs hold the hits, bit v * (m + 1) + j for
+    value v of member j of m; a union's pack is the OR of its traces', and
+    (pack >> j) & values_mask are member j's hits.  For s = 1 one subtraction
+    under each value's guard bit finds a value that every live member holds;
+    otherwise `_hit_by` decides.  Once k exceeds both counts only a member
+    without new points, the base, wins; with the base in the value range the
+    norm is the largest k within its beta budget (every k for the empty
+    base).  Capped at n1[i].  Computed afresh on every call; `cached_norm0`
     remembers it in the tree's memo.  With `validate` it first requires c to
     pass `validate_creature`, which never computes a norm.
     """
     if validate:
         validate_creature(c, params, tree).require("norm0 of invalid creature")
-    i = c.i
+    i, m = c.i, len(c.valrange)
     cap, n2i = params.n1[i], params.n2[i]
     base_dom = c.base.domset()
-    # per member: its size and its new points as (node bit, value bit)
-    members = []
+    # each new point as (node bit, pack bit); values_mask has bit v * (m + 1) per value v
+    points, sizes = [], []
     relevant = values_mask = 0
-    for eta in c.valrange:
-        news = [(1 << x, 1 << v) for x, v in eta.pairs if x not in base_dom]
-        for node_bit, value_bit in news:
-            relevant |= node_bit
-            values_mask |= value_bit
-        members.append((len(eta), news))
-    values = [1 << v for v in range(values_mask.bit_length()) if values_mask >> v & 1]
+    for j, eta in enumerate(c.valrange):
+        sizes.append(len(eta.pairs))
+        for x, v in eta.pairs:
+            if x not in base_dom:
+                node_bit, value_bit = 1 << x, 1 << v * (m + 1)
+                points.append((node_bit, value_bit << j))
+                relevant |= node_bit
+                values_mask |= value_bit
     traces = sorted({mask & relevant for mask in tree.branch_masks()})
 
     if not traces:
         # no branches at all: every instance is vacuous, so only the cap applies
         return cap
-    if c.base in c.valrange:
-        size = len(c.base)
-        if size == 0:
-            return cap
-        return min(cap, log2floor_ratio(n2i, size)) if size <= n2i else 0
+    size = len(c.base)
+    if size in sizes and c.base in c.valrange:
+        return cap if size == 0 else min(cap, log2floor_ratio(n2i, size)) if size <= n2i else 0
 
-    def alpha_ok(hit: int, a: int) -> bool:
-        return not hit & a
-
+    packs = []
+    for trace in traces:
+        packed = 0
+        for node_bit, bit in points:
+            if node_bit & trace:
+                packed |= bit
+        packs.append(packed)
+    nvalues, guards = values_mask.bit_count(), values_mask << m
+    free = ~functools.reduce(operator.and_, packs)  # the bits some trace leaves unset
     for k in range(1, cap + 1):
-        t = min(k, len(traces))
-        unions = {functools.reduce(operator.or_, combo) for combo in itertools.combinations(traces, t)}
-        forbidden = [sum(a) for a in itertools.combinations(values, min(k, len(values)))]
+        s, t = min(k, nvalues), min(k, len(packs))
+        live, rep = [], 0
+        for j, sz in enumerate(sizes):
+            alpha_ok = (free >> j & values_mask).bit_count() >= s
+            if (sz << k) <= n2i and alpha_ok:
+                live.append(j)
+                rep |= 1 << j
+        if not rep:
+            return k - 1
+        if t == 1 or t == len(packs):
+            unions = packs if t == 1 else [functools.reduce(operator.or_, packs)]
+        else:
+            unions = {functools.reduce(operator.or_, combo) for combo in itertools.combinations(packs, t)}
+        rep *= values_mask  # every live bit in every value's group
         for union in unions:
-            # per member: its size and the values it puts on the union's new points
-            hits = []
-            for sz, news in members:
-                hit = 0
-                for node_bit, value_bit in news:
-                    if node_bit & union:
-                        hit |= value_bit
-                hits.append((sz, hit))
-            for a in forbidden:
-                for sz, hit in hits:
-                    if (sz << k) <= n2i and alpha_ok(hit, a):
-                        break
-                else:
+            if s == 1:
+                if ((rep & ~union | guards) - values_mask) & guards != guards:
                     return k - 1
+                continue
+            hits = []
+            for j in live:
+                hits.append(union >> j & values_mask)
+                if not hits[-1]:
+                    break  # member j misses every forbidden set
+            if hits[-1] and _hit_by(hits, s):
+                return k - 1
     return cap
 
 

@@ -51,6 +51,7 @@ def work_budget() -> int:
     return value
 
 
+@functools.lru_cache(maxsize=256)
 def _a_count(n3: int, k: int) -> int:
     """How many a inside [0, n3) have |a| <= k."""
     return sum(math.comb(n3, j) for j in range(k + 1))

@@ -71,12 +71,24 @@ def _sweep_pool(tree, window, bound):
 def _oracle_mismatches(norm_fn, pool_limit=None, random_count=10_000):
     """Criterion 1's comparison of `norm_fn` with the oracle.
 
-    Returns (exhaustive count, random count, mismatching creatures).  The
-    exhaustive phase runs over the first `pool_limit` functions of each
-    window pool (all of them by default); the random phase draws at the full
-    forest and value bound 8 from seed 2024.
+    Returns (exhaustive count, random count, mismatching creatures, thread
+    seconds in `norm_fn`, thread seconds in the oracle).  The exhaustive phase
+    runs over the first `pool_limit` functions of each window pool (all of
+    them by default); the random phase draws at the full forest and value
+    bound 8 from seed 2024.
     """
     mismatches = []
+    seconds = [0.0, 0.0]
+
+    def differs(c, tree, g):
+        t0 = time.thread_time()
+        fast = norm_fn(c, tree, g, validate=False)
+        t1 = time.thread_time()
+        naive = oracle_norm0(c, tree, g, validate=False)
+        seconds[0] += t1 - t0
+        seconds[1] += time.thread_time() - t1
+        return fast != naive
+
     g = make_growth(0, ((5,), (6,), (8,)))
     checked = 0
     for tree, window, bound in SWEEP_FORESTS:
@@ -88,7 +100,7 @@ def _oracle_mismatches(norm_fn, pool_limit=None, random_count=10_000):
                 if not clause_d_holds(c)[0]:
                     continue
                 checked += 1
-                if norm_fn(c, tree, g, validate=False) != oracle_norm0(c, tree, g, validate=False):
+                if differs(c, tree, g):
                     mismatches.append(c)
     rng = random.Random(2024)
     tree = SWEEP_FORESTS[1][0]
@@ -98,10 +110,10 @@ def _oracle_mismatches(norm_fn, pool_limit=None, random_count=10_000):
         c = random_creature(rng, tree, gr, max_members=4, value_bound=8)
         if c is None:
             continue
-        if norm_fn(c, tree, gr, validate=False) != oracle_norm0(c, tree, gr, validate=False):
+        if differs(c, tree, gr):
             mismatches.append(c)
         done += 1
-    return checked, done, mismatches
+    return checked, done, mismatches, seconds[0], seconds[1]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -113,11 +125,16 @@ def test_criterion_1_oracle_equivalence():
     literal class over whole forests at value bound 8 is ~10^12 creatures.
     """
     start = time.time()
-    checked, done, mismatches = _oracle_mismatches(norm0)
+    checked, done, mismatches, norm_s, oracle_s = _oracle_mismatches(norm0)
     assert not mismatches, f"mismatch on {mismatches[0]}"
     elapsed = time.time() - start
     ok = elapsed <= 120
-    _line(1, ok, f"{checked} exhaustive + {done} random creatures equal the oracle in {elapsed:.1f}s")
+    _line(
+        1,
+        ok,
+        f"{checked} exhaustive + {done} random creatures equal the oracle in {elapsed:.1f}s"
+        f" (thread seconds: norm0 {norm_s:.1f}, oracle_norm0 {oracle_s:.1f})",
+    )
     assert ok, f"runtime {elapsed:.1f}s exceeds 120s"
 
 
@@ -132,20 +149,20 @@ def _mutant_norm0(original: str, mutated: str):
     return namespace["norm0"]
 
 
-@pytest.mark.parametrize(
-    "original, mutated",
-    [
-        # the beta filter on member domain sizes is dropped
-        ("(sz << k) <= n2i and alpha_ok", "alpha_ok"),
-        # the last branch trace is dropped
-        ("for mask in tree.branch_masks()})", "for mask in tree.branch_masks()})[:-1]"),
-    ],
-    ids=["beta-filter", "branch-trace"],
-)
+# (original, mutated) source text of norm0's two reduction steps
+NORM0_MUTATIONS = [
+    # the beta filter on member domain sizes is dropped
+    ("(sz << k) <= n2i and alpha_ok", "alpha_ok"),
+    # the last branch trace is dropped
+    ("for mask in tree.branch_masks()})", "for mask in tree.branch_masks()})[:-1]"),
+]
+
+
+@pytest.mark.parametrize("original, mutated", NORM0_MUTATIONS, ids=["beta-filter", "branch-trace"])
 def test_criterion_1_oracle_catches_reduction_bug(original, mutated):
     """The criterion-1 comparison still tells a broken norm0 from the oracle."""
     mutant = _mutant_norm0(original, mutated)
-    checked, done, mismatches = _oracle_mismatches(mutant, pool_limit=12, random_count=200)
+    checked, done, mismatches, _, _ = _oracle_mismatches(mutant, pool_limit=12, random_count=200)
     assert checked > 0 and done == 200
     assert mismatches, f"mutation {original!r} -> {mutated!r} went unnoticed"
 

@@ -6,6 +6,7 @@ import pytest
 from creature_lab.creature import (
     Creature,
     SimpleCreature,
+    _hit_by,
     clause_d_holds,
     norm0,
     normhalf,
@@ -187,6 +188,26 @@ def test_reduction_matches_oracle_random(tree, params):
         )
         checked += 1
     assert checked > 150
+
+
+def test_hit_by_matches_an_enumeration_of_value_sets():
+    """`_hit_by(masks, s)` against every s-subset of 5 values (all 5 once s
+    exceeds them), for every family of at most 4 masks over those values: the
+    empty family, zero masks, s = 0 and s >= #masks among them."""
+    values = 5
+    subsets = range(1 << values)
+    # meets[m]: bit a set when value set a meets mask m
+    meets = [sum(1 << a for a in subsets if a & m) for m in subsets]
+    # of_size[r]: bit a set when value set a has r values
+    of_size = [sum(1 << a for a in subsets if a.bit_count() == r) for r in range(values + 1)]
+    for count in range(5):
+        for family in itertools.combinations_with_replacement(subsets, count):
+            hitting = (1 << (1 << values)) - 1
+            for m in family:
+                hitting &= meets[m]
+            for s in range(values + 2):
+                expected = bool(hitting & of_size[min(s, values)])
+                assert _hit_by(list(family), s) == expected, (family, s)
 
 
 # criterion 1's forests with their exhaustive windows and value bounds
