@@ -12,9 +12,12 @@ last runs.  Forbidden sets are value masks too.  Over every ordered branch
 tuple, the forbidden-set quantifier is checked as "OR of the live members'
 avoider sets equals the whole family": bit j of a member's avoider set says
 that the j-th forbidden set misses its values, so an instance is lost
-exactly when some forbidden set is hit by every live member.  Families too
-large for a table are still checked one set at a time.  Exponential; guarded
-by a work budget (CREATURE_LAB_BUDGET, default 10^8 elementary steps).
+exactly when some forbidden set is hit by every live member.  Each (n3, k)
+has one plain dict from a member's field value to its avoider set, filled on
+first use; these tables hold at most AVOIDER_LIMIT entries in all and are
+emptied when full.  Families too large for a table are still checked one set
+at a time.  Exponential; guarded by a work budget (CREATURE_LAB_BUDGET,
+default 10^8 elementary steps).
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .params import GrowthSequences
 from .tree_model import AmbientTree
 
 DEFAULT_BUDGET = 10**8
-# the forbidden-set masks of one (n3, k) are kept as a table when there are at
-# most this many (under 1 MB each, 16 tables at most); larger families are
-# streamed anew for every branch tuple
+# the forbidden-set masks of one (n3, k) are kept, with its avoider table, when
+# there are at most this many (under 1 MB each, 16 tables at most); larger
+# families are streamed anew for every branch tuple
 A_MASK_TABLE_LIMIT = 1 << 14
 
 
@@ -65,20 +68,39 @@ def _a_masks(n3: int, k: int):
             yield sum(a)
 
 
-@functools.lru_cache(maxsize=16)
-def _a_mask_table(n3: int, k: int) -> tuple[int, ...]:
-    return tuple(_a_masks(n3, k))
+# per (n3, k): a plain dict from a member's field value m to its avoider set,
+# filled on first use and keyed by ints only.  The tables (16 at most) hold at
+# most AVOIDER_LIMIT entries in all, each of at most A_MASK_TABLE_LIMIT bits
+# (2 KiB), so about 1 MiB; when they are full, every table is emptied.
+AVOIDER_LIMIT = 512
+_avoider_tables: dict[tuple[int, int], _Avoiders] = {}
 
 
-# one entry holds at most A_MASK_TABLE_LIMIT bits (2 KiB), so about 1 MiB in all
-@functools.lru_cache(maxsize=512)
-def _avoiders(n3: int, k: int, m: int) -> int:
-    """Bit j set when the j-th mask of _a_mask_table(n3, k) misses the value mask m."""
-    bits = 0
-    for j, a in enumerate(_a_mask_table(n3, k)):
-        if not a & m:
-            bits |= 1 << j
-    return bits
+class _Avoiders(dict):
+    """m -> bit j set when the j-th forbidden set of _a_masks(n3, k) misses m."""
+
+    def __init__(self, n3: int, k: int) -> None:
+        self.family = tuple(_a_masks(n3, k))
+
+    def __missing__(self, m: int) -> int:
+        bits = 0
+        for j, a in enumerate(self.family):
+            if not a & m:
+                bits |= 1 << j
+        if sum(map(len, _avoider_tables.values())) >= AVOIDER_LIMIT:
+            for table in _avoider_tables.values():
+                table.clear()
+        self[m] = bits
+        return bits
+
+
+def _avoider_table(n3: int, k: int) -> _Avoiders:
+    table = _avoider_tables.get((n3, k))
+    if table is None:
+        if len(_avoider_tables) >= 16:
+            _avoider_tables.clear()
+        table = _avoider_tables[n3, k] = _Avoiders(n3, k)
+    return table
 
 
 def oracle_norm0(
@@ -101,32 +123,30 @@ def oracle_norm0(
     if not branches:
         return cap
     # per branch: one int of packed member fields (see the module docstring)
-    field = (1 << n3i) - 1
-    sizes = [len(eta) for eta in c.valrange]
-    # (node, value bit shifted into its member's field) for every new point
-    points = [
-        (x, (1 << v) << (j * n3i))
-        for j, eta in enumerate(c.valrange)
-        for x, v in eta.pairs
-        if x not in base_dom and v < n3i
-    ]
+    sizes = [len(eta.pairs) for eta in c.valrange]
+    # node -> OR of the value bits, each in its member's field, of its new points
+    node_bits: dict[int, int] = {}
+    for j, eta in enumerate(c.valrange):
+        for x, v in eta.pairs:
+            if x not in base_dom and v < n3i:
+                node_bits[x] = node_bits.get(x, 0) | (1 << v) << (j * n3i)
     packed_branches = []
     for b in branches:
         packed = 0
-        for x, bit in points:
-            if x in b:
-                packed |= bit
+        for x in b:
+            packed |= node_bits.get(x, 0)
         packed_branches.append(packed)
 
     def feasible(k: int) -> bool:
         a_count = _a_count(n3i, k)
+        field = (1 << n3i) - 1
         cost = len(branches) ** k * a_count * len(sizes)
         if cost > budget:
             raise BudgetError(
                 f"oracle instance too large at k={k}: {cost} > budget {budget}"
             )
         shifts = [j * n3i for j, sz in enumerate(sizes) if (sz << k) <= n2i]
-        table = a_count <= A_MASK_TABLE_LIMIT
+        avoiders = _avoider_table(n3i, k) if a_count <= A_MASK_TABLE_LIMIT else None
         full = (1 << a_count) - 1
         # every ordered k-tuple: the OR of its first k - 1 branches, kept while
         # the last branch runs over all branches
@@ -136,12 +156,12 @@ def oracle_norm0(
                 prefix |= packed
             for last in packed_branches:
                 fields = prefix | last
-                if table:
+                if avoiders is not None:
                     # some forbidden set is hit by every live member exactly
                     # when the live members' avoider sets do not cover the family
                     won = 0
                     for shift in shifts:
-                        won |= _avoiders(n3i, k, fields >> shift & field)
+                        won |= avoiders[fields >> shift & field]
                     if won != full:
                         return False
                     continue

@@ -277,11 +277,32 @@ def test_oracle_streamed_masks_match_table(tree, params, monkeypatch):
 def test_avoiders_match_a_scan(n3, ks, m):
     import creature_lab.oracle as oracle_mod
 
-    # one m under several k in a row: the cache must keep k apart
+    # one m under several k in a row: the tables keep k apart
     for k in ks:
         family = list(oracle_mod._a_masks(n3, k))
         expected = sum(1 << j for j, a in enumerate(family) if not a & m)
-        assert oracle_mod._avoiders(n3, k, m) == expected
+        assert oracle_mod._avoider_table(n3, k)[m] == expected
+
+
+def test_avoider_tables_stay_within_their_bound(tree, params, monkeypatch):
+    # a bound far below the population's distinct (n3, k, field value) keys
+    # empties the tables over and over; no answer may change, and the tables
+    # never hold more entries than the bound
+    import creature_lab.oracle as oracle_mod
+
+    cases = _oracle_cases(tree, params)
+    expected = [oracle_norm0(c, t, g, validate=False) for c, t, g in cases]
+    bound = 6
+    monkeypatch.setattr(oracle_mod, "AVOIDER_LIMIT", bound)
+    monkeypatch.setattr(oracle_mod, "_avoider_tables", {})
+    tables = oracle_mod._avoider_tables
+    answers, seen = [], set()
+    for c, t, g in cases:
+        answers.append(oracle_norm0(c, t, g, validate=False))
+        assert sum(map(len, tables.values())) <= bound
+        seen.update((key, m) for key, table in tables.items() for m in table)
+    assert answers == expected
+    assert len(seen) > 3 * bound
 
 
 def test_oracle_budget_guard_message(tree, params):

@@ -5,8 +5,13 @@ at most 10 nodes of width 3, so that forests with more branches and with new
 points deeper down reach both of norm0's reductions.  The run is
 deterministic (`derandomize=True`) and writes no example database.  Drawn
 instances the oracle cannot finish within its budget are counted and
-reported, never dropped silently.
+reported, never dropped silently.  On the same forests, the oracle's streamed
+forbidden sets are checked against its tables, and `is_spec` and `union_spec`
+against their definitions.
 """
+
+import itertools
+from unittest import mock
 
 import pytest
 
@@ -14,11 +19,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import creature_lab.oracle as oracle_mod  # noqa: E402
 from creature_lab.creature import SimpleCreature, norm0, validate_creature  # noqa: E402
 from creature_lab.errors import BudgetError  # noqa: E402
 from creature_lab.oracle import oracle_norm0  # noqa: E402
 from creature_lab.params import make_growth  # noqa: E402
-from creature_lab.specfn import EMPTY_FN, SpecFn  # noqa: E402
+from creature_lab.specfn import EMPTY_FN, Incompatible, SpecFn, is_spec, union_spec  # noqa: E402
 from creature_lab.tree_model import build_tree  # noqa: E402
 
 from test_acceptance import NORM0_MUTATIONS, _mutant_norm0  # noqa: E402
@@ -27,6 +33,8 @@ WIDTH, MAX_NODES = 3, 10
 MAX_EXAMPLES = 400
 # the oracle's work budget per drawn instance
 BUDGET = 2 * 10**5
+# drawn forests for is_spec and union_spec, and the maps drawn on each
+SPEC_EXAMPLES, MAPS = 100, 6
 
 
 @st.composite
@@ -105,3 +113,95 @@ def test_drawn_forests_catch_a_broken_reduction(original, mutated):
     tally = {"compared": 0, "over_budget": 0}
     with pytest.raises(AssertionError, match=r"^SimpleCreature\("):
         _compare(_mutant_norm0(original, mutated), tally, phases=(Phase.generate,))
+
+
+def _oracle_or_over_budget(c, tree, g):
+    try:
+        return oracle_norm0(c, tree, g, budget=BUDGET, validate=False)
+    except BudgetError:
+        return "over budget"
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(instances())
+def test_streamed_masks_match_the_tables_on_drawn_forests(instance):
+    # drawn instances have n3 <= 6, so only the table path runs unless the
+    # table limit is lowered: at 0 every forbidden set is streamed
+    tree, g, c = instance
+    tabled = _oracle_or_over_budget(c, tree, g)
+    with mock.patch.object(oracle_mod, "A_MASK_TABLE_LIMIT", 0):
+        assert _oracle_or_over_budget(c, tree, g) == tabled
+
+
+def _comparable(tree, x, y):
+    """x and y lie on one chain, found by walking parents up from each."""
+
+    def chain(z):
+        out = {z}
+        while z in tree.parent:
+            z = tree.parent[z]
+            out.add(z)
+        return out
+
+    return x in chain(y) or y in chain(x)
+
+
+@st.composite
+def maps_on_forests(draw, outside):
+    """(forest, maps of up to 5 nodes to small values, bound or None); with
+    `outside`, nodes may lie outside the forest and values below 0.  Each
+    forest carries several maps, so that drawing forests costs less."""
+    tree = draw(forests())
+    nodes = st.sampled_from(tree.nodes)
+    if outside:
+        nodes = nodes | st.integers(0, WIDTH * MAX_NODES)
+    values = st.integers(-1 if outside else 0, 4)
+    pairs = st.lists(st.tuples(nodes, values), max_size=5)
+    maps = [dict(draw(pairs)) for _ in range(MAPS)]
+    return tree, maps, draw(st.none() | st.integers(0, 5))
+
+
+@settings(derandomize=True, database=None, max_examples=SPEC_EXAMPLES, deadline=None)
+@given(maps_on_forests(outside=True))
+def test_is_spec_is_its_definition(case):
+    # every node in the forest, every value in [0, bound) when a bound is
+    # given, and no two comparable nodes with one value
+    tree, maps, bound = case
+    for mapping in maps:
+        expected = (
+            all(x in tree.nodes for x in mapping)
+            and (bound is None or all(0 <= v < bound for v in mapping.values()))
+            and not any(
+                vx == vy and _comparable(tree, x, y)
+                for (x, vx), (y, vy) in itertools.combinations(mapping.items(), 2)
+            )
+        )
+        assert is_spec(tree, SpecFn.make(mapping), bound=bound) == expected, mapping
+
+
+@settings(derandomize=True, database=None, max_examples=SPEC_EXAMPLES, deadline=None)
+@given(maps_on_forests(outside=False))
+def test_union_spec_is_its_definition(case):
+    # the merged map when it is a function and a specialization function;
+    # otherwise an Incompatible naming a clashing node, or else a comparable
+    # pair with one value
+    tree, maps, bound = case
+    for eta, nu in zip(maps, maps[1:]):
+        result = union_spec(tree, SpecFn.make(eta, bound=bound or 0), SpecFn.make(nu))
+        clashes = {(x,) for x in eta.keys() & nu.keys() if eta[x] != nu[x]}
+        merged = {**eta, **nu}
+        if not clashes and is_spec(tree, SpecFn.make(merged)):
+            assert result == SpecFn.make(merged) and result.bound == (bound or 0), (eta, nu)
+            continue
+        assert isinstance(result, Incompatible), (eta, nu)
+        if clashes:
+            assert result.witness in clashes, (eta, nu)
+        else:
+            x, y = result.witness
+            assert x != y and merged[x] == merged[y] and _comparable(tree, x, y), (eta, nu)
