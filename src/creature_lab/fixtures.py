@@ -13,7 +13,8 @@ Schema:
   conditions [{"depth": D, "nodes": [{"fn": ASSIGN, "level": L,
                "parent": idx|null, "klabel": N}, ...],
                "coverage": {"k": N, "alpha": N, "u": [...]} | null}, ...]
-  labelings  [{"condition": idx, "values": [[leaf-node-idx, value], ...]}, ...]
+  labelings  [{"condition": 0, "values": [[leaf-node-idx, value], ...]}, ...]
+             (a labelling of condition 0, one pair per leaf)
 
 Malformed input raises ConstructionError naming the bad field.
 """
@@ -187,11 +188,15 @@ def labeling_to_fixture(p: ConditionFragment, values: dict[SpecFn, int]) -> dict
 
 
 def labeling_from_fixture(doc: dict, p: ConditionFragment) -> dict[SpecFn, int]:
-    order = list(p.fns)
+    """A labelling of the document's first condition, `p`: one pair per leaf."""
+    if _field(doc, "condition", "labeling", _int) != 0:
+        raise _malformed(("labeling", "condition"), "0, the index of the first condition")
+    leaves = {j for j, fn in enumerate(p.fns) if not p.children(fn)}
     values = _field(doc, "values", "labeling", _pairs)
-    if not all(0 <= j < len(order) for j, _ in values):
-        raise _malformed(("labeling", "values"), f"pairs [node index below {len(order)}, value]")
-    return {order[j]: v for j, v in values}
+    listed = [j for j, _ in values]
+    if not leaves.issuperset(listed) or len(set(listed)) != len(listed):
+        raise _malformed(("labeling", "values"), f"one [index, value] pair per leaf of {sorted(leaves)}")
+    return {p.fns[j]: v for j, v in values}
 
 
 def empty_document(**fields) -> dict:

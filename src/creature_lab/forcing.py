@@ -133,17 +133,6 @@ class ConditionFragment:
     def __contains__(self, fn: SpecFn) -> bool:
         return fn in self.parent
 
-    def maximal_branches(self) -> tuple[tuple[SpecFn, ...], ...]:
-        out = []
-        for leaf in self.leaves():
-            path = [leaf]
-            cur = leaf
-            while self.parent[cur] is not None:
-                cur = self.parent[cur]
-                path.append(cur)
-            out.append(tuple(reversed(path)))
-        return tuple(sorted(out, key=lambda p: [f.pairs for f in p]))
-
     def cone_nodes(self, fn: SpecFn) -> list[SpecFn]:
         """Tree descendants of fn including fn."""
         out = [fn]
@@ -328,6 +317,12 @@ class NotRelated:
     detail: str = ""
 
 
+def _first_maximal(cands: list[SpecFn]) -> SpecFn:
+    """The inclusion-maximal candidate that comes first by pairs."""
+    maximal = [fn for fn in cands if not any(o != fn and o.extends(fn) for o in cands)]
+    return min(maximal, key=lambda f: f.pairs)
+
+
 def leq(
     p: ConditionFragment,
     q: ConditionFragment,
@@ -344,13 +339,7 @@ def leq(
     candidates = [fn for fn in p.fns if q.root.extends(fn)]
     if not candidates:
         return NotRelated("(a)", "no element of p is contained in rt(q)")
-    maximal = [
-        fn
-        for fn in candidates
-        if not any(other != fn and other.extends(fn) for other in candidates)
-    ]
-    maximal.sort(key=lambda f: f.pairs)
-    root_img = maximal[0]
+    root_img = _first_maximal(candidates)
     if p.level_of(root_img) != shift:
         return NotRelated(
             "(b)", f"rt(q) projects to level {p.level_of(root_img)}, expected {shift}"
@@ -367,13 +356,7 @@ def leq(
                 cands = [tau for tau in img_kids if nu.extends(tau)]
                 if not cands:
                     return NotRelated("(c)", f"no successor of {img} is contained in {nu}")
-                best = [
-                    tau
-                    for tau in cands
-                    if not any(o != tau and o.extends(tau) for o in cands)
-                ]
-                best.sort(key=lambda f: f.pairs)
-                mapping[nu] = best[0]
+                mapping[nu] = _first_maximal(cands)
 
     if len(mapping) != len(q.fns):
         return NotRelated("(a)", "projection does not cover dom(q)")
@@ -455,24 +438,14 @@ def leq_n(
 
 
 def restrict(p: ConditionFragment, eta: SpecFn) -> ConditionFragment:
-    """The cone above eta, re-rooted; klabels inherited."""
+    """The cone above eta: p's nodes that extend eta, re-rooted at eta with
+    klabels inherited.  A node whose parent does not extend eta is rejected by
+    the constructor, since that parent is not a node of the cone."""
     if eta not in p:
         raise DomainError(f"{eta} not in the fragment")
     keep = [fn for fn in p.fns if fn.extends(eta)]
-    keepset = set(keep)
-    parent: dict[SpecFn, SpecFn | None] = {}
-    for fn in keep:
-        if fn == eta:
-            parent[fn] = None
-        else:
-            par = p.parent[fn]
-            if par not in keepset:
-                raise ConstructionError(
-                    f"cone above {eta} is not closed under parents at {fn}"
-                )
-            parent[fn] = par
     return ConditionFragment(
-        parent=parent,
+        parent={fn: None if fn == eta else p.parent[fn] for fn in keep},
         klabel={fn: p.klabel[fn] for fn in keep},
         coverage=None,
     )
@@ -537,10 +510,14 @@ def classify(p: ConditionFragment, tree: AmbientTree) -> Classification:
 
 
 def is_front(p: ConditionFragment, front: list[SpecFn] | tuple[SpecFn, ...]) -> bool:
-    s = set(front)
+    """No member extends another, and every maximal branch of p meets the
+    members: a branch meets a node exactly when its leaf is in the node's
+    cone, so the members' cone leaves are all of p's leaves.  Functions that
+    are not nodes of p meet no branch."""
     if any(a != b and a.extends(b) for a in front for b in front):
         return False
-    return all(any(fn in s for fn in br) for br in p.maximal_branches())
+    covered = {leaf for fn in front if fn in p for leaf in p.cone_leaves(fn)}
+    return covered == set(p.leaves())
 
 
 def amalgamate(
@@ -558,6 +535,7 @@ def amalgamate(
         raise PreconditionError("given nodes are not a front of p")
     if len(front) != len(qs):
         raise PreconditionError("one strengthening per front element required")
+    in_cones = set()
     for eta, q in zip(front, qs):
         if q.root != eta:
             raise PreconditionError(f"strengthening at {eta} must keep it as root")
@@ -567,11 +545,7 @@ def amalgamate(
             raise PreconditionError(
                 f"cone at {eta} is not below its strengthening: clause {r.clause}"
             )
-    in_cones = set()
-    for eta in front:
-        for fn in restrict(p, eta).fns:
-            if fn != eta:
-                in_cones.add(fn)
+        in_cones.update(fn for fn in cone.fns if fn != eta)
     parent: dict[SpecFn, SpecFn | None] = {}
     klabel: dict[SpecFn, int] = {}
     for fn in p.fns:
@@ -699,23 +673,20 @@ def smoothen(
             parent[fn] = p.parent[fn]
             klabel[fn] = p.klabel[fn]
 
-    def graft(eta: SpecFn, old_eta: SpecFn) -> None:
-        """Rebuild the cone over old_eta with every function unioned into eta."""
-        kids = p.children(old_eta)
-        if not kids:
-            return
-        c = creature_at(p, old_eta, params)
-        reb = rebase(c, eta, tree, params).creature
-        mapping_back = {}
-        for nu in reb.valrange:
-            # find the original member this union came from
-            origs = [o for o in kids if nu.extends(o)]
-            origs.sort(key=lambda f: len(f), reverse=True)
-            mapping_back[nu] = origs[0]
-        for nu in reb.valrange:
+    def graft(eta: SpecFn, members: tuple[SpecFn, ...], kids: tuple[SpecFn, ...]) -> None:
+        """Hang each member under eta, labelled as its anchor, the first
+        longest of p's kids that it extends; then graft the anchor's cone
+        rebased onto the member."""
+        for nu in members:
+            anchors = [o for o in kids if nu.extends(o)]
+            if not anchors:
+                raise ValidationError("filled member lost its anchor")
+            old = max(anchors, key=len)
             parent[nu] = eta
-            klabel[nu] = p.klabel[mapping_back[nu]]
-            graft(nu, mapping_back[nu])
+            klabel[nu] = p.klabel[old]
+            if p.children(old):
+                reb = rebase(creature_at(p, old, params), nu, tree, params).creature
+                graft(nu, reb.valrange, p.children(old))
 
     for eta in p.level_nodes(fill_level):
         kids = p.children(eta)
@@ -727,15 +698,7 @@ def smoothen(
             filled = fill(c, need, tree, params).creature
         else:
             filled = c
-        for nu in filled.valrange:
-            anchors = [o for o in kids if nu.extends(o)]
-            anchors.sort(key=lambda f: len(f), reverse=True)
-            if not anchors:
-                raise ValidationError("filled member lost its anchor")
-            old = anchors[0]
-            parent[nu] = eta
-            klabel[nu] = p.klabel[old]
-            graft(nu, old)
+        graft(eta, filled.valrange, kids)
 
     out = ConditionFragment(
         parent=parent, klabel=klabel, coverage=Coverage(k=0, alpha=alpha, u=frozenset())

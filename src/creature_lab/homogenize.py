@@ -82,7 +82,10 @@ def purify(
     Colour 0 marks nodes whose kept cone is eventually inside the set; at
     each internal node the side of the bipartition with at least half the
     game norm survives (ties towards colour 0), so norm2 and norm drop by at
-    most one at every changed creature.
+    most one at every changed creature.  The front is the shallowest level
+    >= kstar from which every deeper creature keeps norm >= kstar + 1, so the
+    result stays a graded extension: one past the deepest internal node at
+    level >= kstar that misses that budget (with kstar = 0 none does).
     """
     if not is_upward_closed(p, xset):
         raise PreconditionError("X is not upward closed in the fragment order")
@@ -91,26 +94,15 @@ def purify(
         if n0 <= 0:
             raise PreconditionError(f"norm0 = 0 at {eta}; purify needs positive norms")
 
-    # the frozen front: the shallowest level from which every deeper creature
-    # keeps norm >= kstar + 1 (so the restriction stays a graded extension)
-    front_level = None
-    for lv in range(kstar, p.depth + 1):
-        ok = True
-        for eta in p.level_nodes(lv):
-            for rho in p.cone_nodes(eta):
-                if not p.children(rho):
-                    continue
-                c = creature_at(p, rho, params)
-                nh = normhalf(c, tree, params)
-                if not NormShape.norm_geq(nh, max(p.klabel[rho], 1), kstar + 1) and kstar > 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            front_level = lv
-            break
-    if front_level is None:
+    # the frozen front; a level's cones hold every deeper node
+    front_level = kstar
+    for eta in p.internal():
+        lv = p.level_of(eta)
+        if kstar > 0 and lv >= kstar:
+            nh = normhalf(creature_at(p, eta, params), tree, params)
+            if not NormShape.norm_geq(nh, max(p.klabel[eta], 1), kstar + 1):
+                front_level = max(front_level, lv + 1)
+    if front_level > p.depth:
         raise PreconditionError(
             f"no front level with norm budget kstar + 1 = {kstar + 1}"
         )

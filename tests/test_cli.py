@@ -509,6 +509,30 @@ def test_fragment_that_is_not_a_condition_is_rejected(tmp_path, capsys, argv, fl
     assert out.err == f"error: {flag}conditions[0] is not a condition: {_NAMED[broken]}\n"
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda labeling: labeling["values"].append([1, 5]), "values"),
+        (lambda labeling: labeling["values"].append([4, 1]), "values"),
+        (lambda labeling: labeling.update(condition=7), "condition"),
+    ],
+    ids=["internal-node", "leaf-twice", "condition-7"],
+)
+def test_decide_rejects_a_malformed_labeling(tmp_path, capsys, change, field):
+    """A labelling is of condition 0 and lists each leaf at most once; node 1
+    of the shipped fixture is internal and node 4 is a listed leaf."""
+    from creature_lab.cli import main
+
+    doc = json.loads((FIXDIR / "conditions.json").read_text())
+    change(doc["labelings"][0])
+    path = tmp_path / "conditions.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decide", "--p", str(path), "--m", "0", "--max-level", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: labeling: field {field!r} must be ")
+
+
 def test_decide_negative_max_level_is_an_error(capsys):
     """No level is negative, so decide refuses before it searches."""
     from creature_lab.cli import main

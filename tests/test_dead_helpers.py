@@ -33,6 +33,34 @@ def test_every_helper_has_a_reader_outside_the_tests():
     assert not dead, "no reader outside the tests: " + ", ".join(dead)
 
 
+def test_every_method_has_a_reader_outside_the_tests():
+    """Each method of a `src/creature_lab` class is read by an attribute access
+    or named in a string (a `getattr` name or a traced layer) in
+    `src/creature_lab`, `scripts/*.py` or `bench/*.py`. Dunder methods are
+    exempt: Python calls them."""
+    modules = sorted((ROOT / "src" / "creature_lab").glob("*.py"))
+    readers = modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(re.findall(r"\w+", node.value))
+    methods = [
+        (module, cls, fn)
+        for module in modules
+        for cls in ast.walk(ast.parse(module.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("__")
+    ]
+    assert len(methods) > 30
+    dead = [f"{module.stem}:{fn.lineno} {cls.name}.{fn.name}" for module, cls, fn in methods
+            if fn.name not in read]
+    assert not dead, "no reader outside the tests: " + ", ".join(dead)
+
+
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """Names a module imports and never loads; `from __future__` is exempt."""
     imported = {}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -174,6 +175,17 @@ def test_restrict_identity_and_leaf(ctx, frag):
     assert single.fns == (leaf,)
 
 
+def test_restrict_rejects_a_cone_not_closed_under_parents():
+    """{0:0, 1:0, 3:1} extends {0:0} but hangs under {1:0}, which does not."""
+    a, b, stray = SpecFn.make({0: 0}), SpecFn.make({1: 0}), SpecFn.make({0: 0, 1: 0, 3: 1})
+    p = ConditionFragment(
+        parent={EMPTY_FN: None, a: EMPTY_FN, b: EMPTY_FN, stray: b},
+        klabel={EMPTY_FN: 0, a: 0, b: 0, stray: 0},
+    )
+    with pytest.raises(ConstructionError):
+        restrict(p, a)
+
+
 def test_fuse_single(ctx, frag):
     tree, params, shape = ctx
     out = fuse([frag], [1], tree, params)
@@ -240,6 +252,29 @@ def test_fronts(ctx, frag):
     assert is_front(frag, [frag.root])
     assert is_front(frag, lvl1)
     assert not is_front(frag, [frag.root, lvl1[0]])
+
+
+@pytest.mark.parametrize("branching", [(2, 3), (3, 3)])
+def test_is_front_matches_the_branch_definition(ctx, branching):
+    """A front: no member extends another, and every root-to-leaf path of p
+    meets the set.  Every subset of p's nodes, also with a function that is
+    not a node of p and so meets no path."""
+    tree, params, _ = ctx
+    p = depth2_fragment(tree, params, branching=branching)
+    branches = []
+    for leaf in p.leaves():
+        path = [leaf]
+        while p.parent[path[-1]] is not None:
+            path.append(p.parent[path[-1]])
+        branches.append(set(path))
+    outsider = SpecFn.make({5: 99})
+    assert outsider not in p
+    for size in range(len(p.fns) + 1):
+        for subset in itertools.combinations(p.fns, size):
+            for front in (list(subset), [*subset, outsider]):
+                antichain = not any(a != b and a.extends(b) for a in front for b in front)
+                meets = all(not branch.isdisjoint(front) for branch in branches)
+                assert is_front(p, front) == (antichain and meets), front
 
 
 def test_amalgamate_identity(ctx, frag):

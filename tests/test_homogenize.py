@@ -38,7 +38,7 @@ from creature_lab.homogenize import (
     is_upward_closed,
     purify,
 )
-from creature_lab.params import default_shape, log2ceil, make_growth
+from creature_lab.params import NormShape, default_shape, log2ceil, make_growth
 
 
 @pytest.fixture
@@ -89,6 +89,32 @@ def test_purify_full_set():
             assert res.alternatives == {nu: "inside" for nu in res.front}, case
             for nu in res.front:
                 assert (res.inside_levels[nu] == p.level_of(nu)) == (nu in xset), case
+
+
+@pytest.mark.parametrize("name", ["2x3", "3x3", "3x4", "2x2x3"])
+def test_purify_front_level_matches_its_definition(name):
+    """The front level is the least lv >= kstar such that every internal node
+    at level >= lv has norm_geq(normhalf, max(klabel, 1), kstar + 1); with
+    kstar = 0 no node is held to it.  There is none when kstar > depth."""
+    p, tree, params = _fragment(name)
+    for kstar in range(p.depth + 2):
+
+        def misses(eta):
+            nh = normhalf(creature_at(p, eta, params), tree, params)
+            return kstar > 0 and not NormShape.norm_geq(nh, max(p.klabel[eta], 1), kstar + 1)
+
+        levels = [
+            lv for lv in range(kstar, p.depth + 1)
+            if not any(misses(eta) for eta in p.internal() if p.level_of(eta) >= lv)
+        ]
+        if not levels:
+            assert kstar > p.depth
+            with pytest.raises(PreconditionError, match="no front level"):
+                purify(p, frozenset(), kstar, tree, params)
+            continue
+        res = purify(p, frozenset(), kstar, tree, params)
+        assert p.level_of(res.front[0]) == levels[0], (name, kstar)
+        assert set(res.front) == set(p.level_nodes(levels[0])), (name, kstar)
 
 
 def test_purify_single_cone(ctx, frag):
