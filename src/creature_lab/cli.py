@@ -181,7 +181,7 @@ def cmd_check_leq(args) -> int:
     pdoc, qdoc, tree, params = _read(args.p, args.q)
     p = _condition(pdoc, tree, params, "--p")
     q = _condition(qdoc, tree, params, "--q")
-    res = leq(p, q, tree, params)
+    res = leq(p, q, params)
     if isinstance(res, NotRelated):
         _emit({"leq": "no", "clause": res.clause, "detail": res.detail})
         return FAIL_EXIT

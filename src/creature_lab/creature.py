@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
-from .params import GrowthSequences, NormShape, log2ceil, log2ceil_ratio, log2floor_ratio
+from .params import GrowthSequences, NormShape, log2ceil, log2ceil_ratio
 from .specfn import SpecFn, is_spec
 from .tree_model import AmbientTree
 
@@ -197,11 +197,13 @@ def norm0(
     (pack >> j) & values_mask are member j's hits.  For s = 1 one subtraction
     under each value's guard bit finds a value that every live member holds;
     otherwise `_hit_by` decides.  Once k exceeds both counts only a member
-    without new points, the base, wins; with the base in the value range the
-    norm is the largest k within its beta budget (every k for the empty
-    base).  Capped at n1[i].  Computed afresh on every call; `cached_norm0`
-    remembers it in the tree's memo.  With `validate` it first requires c to
-    pass `validate_creature`, which never computes a norm.
+    without new points, the base, wins.  The base puts no value on a new
+    point, so it passes `alpha_ok` and no forbidden set hits it: with the
+    base in the value range, level k is lost exactly when the base leaves
+    its beta budget, and the norm is the largest k within that budget (every
+    k for the empty base).  Capped at n1[i].  Computed afresh on every call;
+    `cached_norm0` remembers it in the tree's memo.  With `validate` it first
+    requires c to pass `validate_creature`, which never computes a norm.
     """
     if validate:
         validate_creature(c, params, tree).require("norm0 of invalid creature")
@@ -224,9 +226,6 @@ def norm0(
     if not traces:
         # no branches at all: every instance is vacuous, so only the cap applies
         return cap
-    size = len(c.base)
-    if size in sizes and c.base in c.valrange:
-        return cap if size == 0 else min(cap, log2floor_ratio(n2i, size)) if size <= n2i else 0
 
     packs = []
     for trace in traces:

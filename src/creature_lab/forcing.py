@@ -323,12 +323,7 @@ def _first_maximal(cands: list[SpecFn]) -> SpecFn:
     return min(maximal, key=lambda f: f.pairs)
 
 
-def leq(
-    p: ConditionFragment,
-    q: ConditionFragment,
-    tree: AmbientTree,
-    params: GrowthSequences,
-) -> Projection | NotRelated:
+def leq(p: ConditionFragment, q: ConditionFragment, params: GrowthSequences) -> Projection | NotRelated:
     """Compute the canonical projection q -> p and verify the order clauses."""
     ip, iq = kind_of(p, params), kind_of(q, params)
     if ip > iq:
@@ -416,7 +411,7 @@ def leq_n(
     """The graded order: frozen levels <= n, norm floor n on changed creatures."""
     if kind_of(p, params) != kind_of(q, params):
         return False
-    pr = leq(p, q, tree, params)
+    pr = leq(p, q, params)
     if isinstance(pr, NotRelated):
         return False
     if not fragments_agree_below(p, q, n):
@@ -540,7 +535,7 @@ def amalgamate(
         if q.root != eta:
             raise PreconditionError(f"strengthening at {eta} must keep it as root")
         cone = restrict(p, eta)
-        r = leq(cone, q, tree, params)
+        r = leq(cone, q, params)
         if isinstance(r, NotRelated):
             raise PreconditionError(
                 f"cone at {eta} is not below its strengthening: clause {r.clause}"
@@ -562,7 +557,7 @@ def amalgamate(
             klabel[fn] = q.klabel[fn]
     out = ConditionFragment(parent=parent, klabel=klabel, coverage=None)
     validate_condition(out, tree, params).require("amalgamate output invalid")
-    if isinstance(leq(p, out, tree, params), NotRelated):
+    if isinstance(leq(p, out, params), NotRelated):
         raise ValidationError("amalgamate output is not above p")
     return out
 

@@ -13,7 +13,6 @@ makes norm budgets plannable when building condition fragments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .creature import SimpleCreature, validate_creature
 from .errors import PreconditionError
@@ -157,45 +156,38 @@ def diagonal_creature(
     return c
 
 
-@dataclass
-class FragmentPlan:
-    """Per-level branching and fresh-node slices for a canonical fragment."""
-
-    branching: list[int]
-    slices: list[list[int]]
-    klabels: list[int]
-
-
 def canonical_fragment(
     tree: AmbientTree,
     params: GrowthSequences,
-    plan: FragmentPlan,
+    branching: list[int],
+    slices: list[list[int]],
+    klabels: list[int],
     coverage: Coverage | None = None,
     value_bands: list[int] | None = None,
 ) -> ConditionFragment:
-    """A valid fragment built from diagonal creatures along the plan.
+    """A valid fragment built from diagonal creatures, level by level.
 
-    Level l nodes extend their parents on plan.slices[l-1] (an antichain of
-    ambient nodes), children of one parent differing everywhere, so the
-    closure clause holds vacuously and norms are plannable.
+    Each node of level l has branching[l] children, which extend it on
+    slices[l] (an antichain of ambient nodes), children of one parent
+    differing everywhere, so the closure clause holds vacuously and norms
+    are plannable.  klabels[l] is the counter of level l's nodes (0 past its
+    end).
     """
-    depth = len(plan.branching)
+    depth = len(branching)
     bands = value_bands or [1 + 7 * l for l in range(depth)]
     root = SpecFn.make({})
     parent: dict[SpecFn, SpecFn | None] = {root: None}
-    klabel: dict[SpecFn, int] = {root: plan.klabels[0]}
+    klabel: dict[SpecFn, int] = {root: klabels[0]}
     frontier = [root]
     for lv in range(depth):
         new_frontier = []
         for node in frontier:
             # rooted at the empty function, so the level-lv kind is lv;
             # children of distinct parents clash on the parent domains already
-            c = diagonal_creature(
-                lv, node, plan.slices[lv], plan.branching[lv], bands[lv], params, tree
-            )
+            c = diagonal_creature(lv, node, slices[lv], branching[lv], bands[lv], params, tree)
             for ch in c.valrange:
                 parent[ch] = node
-                klabel[ch] = plan.klabels[lv + 1] if lv + 1 < len(plan.klabels) else 0
+                klabel[ch] = klabels[lv + 1] if lv + 1 < len(klabels) else 0
                 new_frontier.append(ch)
         frontier = new_frontier
     frag = ConditionFragment(parent=parent, klabel=klabel, coverage=coverage)
@@ -220,13 +212,7 @@ def depth2_fragment(
         for r in roots[1:]
         if all(not tree.comparable(r, y) for y in level1)
     ]
-    leaf_slice = sorted(level1 + spare)
-    plan = FragmentPlan(
-        branching=list(branching),
-        slices=[[roots[0]], leaf_slice],
-        klabels=[1, 1, 0],
-    )
-    return canonical_fragment(tree, params, plan)
+    return canonical_fragment(tree, params, list(branching), [[roots[0]], sorted(level1 + spare)], [1, 1, 0])
 
 
 def depth3_fragment(tree: AmbientTree, params: GrowthSequences) -> ConditionFragment:
@@ -238,12 +224,7 @@ def depth3_fragment(tree: AmbientTree, params: GrowthSequences) -> ConditionFrag
     """
     lvl1 = [x for x in tree.nodes if tree.level(x) == 1]
     lvl2 = [x for x in tree.nodes if tree.level(x) == 2]
-    plan = FragmentPlan(
-        branching=[2, 2, 3],
-        slices=[[0], sorted(lvl1)[:3], sorted(lvl2)],
-        klabels=[1, 1, 1, 0],
-    )
-    return canonical_fragment(tree, params, plan)
+    return canonical_fragment(tree, params, [2, 2, 3], [[0], sorted(lvl1)[:3], sorted(lvl2)], [1, 1, 1, 0])
 
 
 def smooth_target_fragment(
@@ -260,11 +241,10 @@ def smooth_target_fragment(
     rest = [x for x in seg if tree.level(x) > 0 and x not in hold]
     if not lvl0 or not rest:
         raise PreconditionError("need nodes on both levels for a depth-2 tiling")
-    plan = FragmentPlan(branching=list(branching), slices=[lvl0, rest], klabels=[0, 1, 0])
     cov = None
     if not hold:
         cov = Coverage(k=0, alpha=alpha, u=frozenset())
-    return canonical_fragment(tree, params, plan, coverage=cov)
+    return canonical_fragment(tree, params, list(branching), [lvl0, rest], [0, 1, 0], coverage=cov)
 
 
 def extend_fragment(

@@ -79,113 +79,76 @@ def purify(
 ) -> PurifyResult:
     """Majority-colour restriction of p against an upward-closed set.
 
-    Colour 0 marks nodes whose kept cone is eventually inside the set; at
-    each internal node the side of the bipartition with at least half the
-    game norm survives (ties towards colour 0), so norm2 and norm drop by at
-    most one at every changed creature.  The front is the shallowest level
-    >= kstar from which every deeper creature keeps norm >= kstar + 1, so the
-    result stays a graded extension: one past the deepest internal node at
-    level >= kstar that misses that budget (with kstar = 0 none does).
+    Colour 0 marks nodes whose kept cone is eventually inside the set.  One
+    recursion paints each node above the front and returns its colour with
+    the nodes of its cone that stay: a node of the set keeps its whole cone,
+    and at any other internal node the first colour side (in colour order)
+    with at least half the game norm survives, so norm2 and norm drop by at
+    most one at every changed creature.  When neither side reaches half (the
+    odd-norm boundary of the bigness argument) the side with the larger norm0
+    that is still a creature survives, ties towards colour 0.  The front is
+    the shallowest level >= kstar from which every deeper creature keeps norm
+    >= kstar + 1, so the result stays a graded extension: one past the
+    deepest internal node at level >= kstar that misses that budget (with
+    kstar = 0 none does).  Levels below the front are kept verbatim.
     """
     if not is_upward_closed(p, xset):
         raise PreconditionError("X is not upward closed in the fragment order")
-    for eta in p.internal():
-        n0 = cached_norm0(creature_at(p, eta, params), tree, params)
-        if n0 <= 0:
-            raise PreconditionError(f"norm0 = 0 at {eta}; purify needs positive norms")
-
     # the frozen front; a level's cones hold every deeper node
     front_level = kstar
     for eta in p.internal():
+        c = creature_at(p, eta, params)
+        if cached_norm0(c, tree, params) <= 0:
+            raise PreconditionError(f"norm0 = 0 at {eta}; purify needs positive norms")
         lv = p.level_of(eta)
         if kstar > 0 and lv >= kstar:
-            nh = normhalf(creature_at(p, eta, params), tree, params)
-            if not NormShape.norm_geq(nh, max(p.klabel[eta], 1), kstar + 1):
+            if not NormShape.norm_geq(normhalf(c, tree, params), max(p.klabel[eta], 1), kstar + 1):
                 front_level = max(front_level, lv + 1)
     if front_level > p.depth:
         raise PreconditionError(
             f"no front level with norm budget kstar + 1 = {kstar + 1}"
         )
-    front = list(p.level_nodes(front_level))
 
-    colour: dict[SpecFn, int] = {}
-    kept_children: dict[SpecFn, tuple[SpecFn, ...]] = {}
-
-    def paint(fn: SpecFn) -> int:
-        kids = p.children(fn)
-        if not kids:
-            colour[fn] = 0 if fn in xset else 1
-            return colour[fn]
-        for ch in kids:
-            paint(ch)
+    def paint(fn: SpecFn) -> tuple[int, list[SpecFn]]:
         if fn in xset:
             # upward closure puts the whole cone inside the set
-            kept_children[fn] = kids
-            colour[fn] = 0
-            return 0
-        side0 = tuple(ch for ch in kids if colour[ch] == 0)
-        side1 = tuple(ch for ch in kids if colour[ch] == 1)
+            return 0, p.cone_nodes(fn)
+        kids = p.children(fn)
+        if not kids:
+            return 1, [fn]
+        painted = {ch: paint(ch) for ch in kids}
         c = creature_at(p, fn, params)
-        n0 = cached_norm0(c, tree, params)
-        target = (n0 + 1) // 2
-        pick: tuple[SpecFn, ...] | None = None
-        pick_colour = 0
-        for side, col in ((side0, 0), (side1, 1)):
-            if not side:
-                continue
-            cand = SimpleCreature.make(c.i, c.base, side)
-            if cached_norm0(cand, tree, params) >= target:
-                pick, pick_colour = side, col
-                break
+        sides = []  # (norm0, colour, creature) for each nonempty side, in colour order
+        for col in (0, 1):
+            side = [ch for ch in kids if painted[ch][0] == col]
+            if side:
+                cand = SimpleCreature.make(c.i, c.base, side)
+                sides.append((cached_norm0(cand, tree, params), col, cand))
+        target = (cached_norm0(c, tree, params) + 1) // 2
+        pick = next((side for side in sides if side[0] >= target), None)
         if pick is None:
-            # neither side reaches half the norm (the odd-norm boundary of the
-            # bigness argument); keep the best side that is still a creature
-            scored = []
-            for side, col in ((side0, 0), (side1, 1)):
-                if side:
-                    cand = SimpleCreature.make(c.i, c.base, side)
-                    n_side = cached_norm0(cand, tree, params)
-                    if n_side >= 1 or validate_creature(cand, params, tree).ok:
-                        scored.append((-n_side, col, side))
-            if not scored:
+            valid = [side for side in sides if side[0] >= 1 or validate_creature(side[2], params, tree).ok]
+            if not valid:
                 raise PreconditionError(
                     f"purify: the colour split at {fn} leaves no valid creature side "
                     "(value range too small for the restriction)"
                 )
-            scored.sort()
-            _, pick_colour, pick = scored[0]
-        kept_children[fn] = pick
-        colour[fn] = pick_colour
-        return colour[fn]
+            pick = max(valid, key=lambda side: side[0])
+        _, col, cand = pick
+        return col, [fn, *(node for ch in cand.valrange for node in painted[ch][1])]
 
-    keep: set[SpecFn] = set()
-
-    def collect(fn: SpecFn) -> None:
-        keep.add(fn)
-        for ch in kept_children.get(fn, ()):
-            collect(ch)
-
-    # below the front everything is kept verbatim
-    for lv in range(front_level):
-        keep.update(p.level_nodes(lv))
+    keep = {fn for lv in range(front_level) for fn in p.level_nodes(lv)}
+    front = list(p.level_nodes(front_level))
     alternatives: dict[SpecFn, str] = {}
-    inside_levels: dict[SpecFn, int] = {}
     for nu in front:
-        paint(nu)
-        collect(nu)
-        if colour[nu] == 0:
-            alternatives[nu] = "inside"
-        else:
-            alternatives[nu] = "disjoint"
-
+        col, kept = paint(nu)
+        keep.update(kept)
+        alternatives[nu] = ("inside", "disjoint")[col]
     q = subfragment(p, keep)
     validate_condition(q, tree, params).require("purify output invalid")
     if not leq_n(p, q, kstar, tree, params):
         raise ValidationError("purify output is not a graded extension at kstar")
-    # compute the uniform inside level per inside-front element
-    for nu in front:
-        if alternatives[nu] == "inside":
-            inside_levels[nu] = _verify_inside_level(q, nu, xset)
+    inside_levels = {nu: _verify_inside_level(q, nu, xset) for nu in front if alternatives[nu] == "inside"}
     return PurifyResult(fragment=q, front=front, alternatives=alternatives, inside_levels=inside_levels)
 
 

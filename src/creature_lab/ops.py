@@ -113,7 +113,6 @@ def fill(
     k = cached_norm0(c, tree, params)
     m = len(xs)
     _require(k >= 1, "(b)", f"norm0(c) = {k} not >= 1")
-    _require(k <= params.n1[i], "(b)", "norm0(c) exceeds n1[i]")
     _require(len(set(xs)) == m and m >= 1, "(c)", "xs must be nonempty and distinct")
     _require(m <= k, "(c)", f"m = {m} exceeds k = {k}")
     _require(m * (1 << k) <= params.n2[i], "(c)", f"m = {m} exceeds n2[i]/2^k")
@@ -173,8 +172,6 @@ def fill(
             for x, z in zip(xs_sorted, subset):
                 nu_map[x] = z
             nu = SpecFn.make(nu_map, bound=params.n3[i])
-            if not is_spec(tree, nu, bound=params.n3[i]):
-                continue
             if len(nu) >= params.n2[i]:
                 continue
             new_members.append(nu)
@@ -182,7 +179,6 @@ def fill(
         if count == 0:
             raise ValidationError(f"fill: no admissible tuple for member {eta}")
     d = SimpleCreature.make(i, c.base, new_members)
-    _require(len(d.valrange) <= params.n1[i], "post", "output value range too large")
     validate_creature(d, params, tree).require("fill produced an invalid creature")
     return OpResult(creature=d, bound=k - m)
 
@@ -302,10 +298,9 @@ def bigness_split(
     2^(m-1) (ceiling-log m - 1), and norm0 3 splitting into 1 and 1 occurs.
     """
     validate_creature(c, params, tree).require("split of invalid creature")
-    val1, val2 = (tuple(sorted(set(p), key=lambda f: f.pairs)) for p in parts)
-    union = set(val1) | set(val2)
+    val1, val2 = parts
     _require(
-        union == set(c.valrange),
+        set(val1) | set(val2) == set(c.valrange),
         "pre",
         "parts do not cover the value range exactly",
     )

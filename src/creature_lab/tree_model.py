@@ -56,15 +56,6 @@ class AmbientTree:
     def level(self, x: int) -> int:
         return x // self.width
 
-    @property
-    def height(self) -> int:
-        if not self.nodes:
-            return 0
-        return max(self.level(x) for x in self.nodes) + 1
-
-    def children(self, x: int) -> tuple[int, ...]:
-        return self._children[x]
-
     def roots(self) -> tuple[int, ...]:
         return tuple(x for x in self.nodes if x not in self.parent)
 

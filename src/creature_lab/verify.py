@@ -84,6 +84,14 @@ class SuiteOutcome:
 _MISS = SuiteOutcome(True, False, {})
 
 
+def _or_none(build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), or None (a premise miss) when its premise fails."""
+    try:
+        return build(*args, **kwargs)
+    except (PreconditionError, ValidationError):
+        return None
+
+
 def _failed(c: SimpleCreature, info: dict) -> SuiteOutcome:
     """A premise-hit failure that names the creature it was found on."""
     return SuiteOutcome(False, True, {**info, "creature": fx.creature_to_fixture(Creature(c, 1))})
@@ -350,9 +358,8 @@ def _draw_rebase(rng: random.Random):
               if all(x in tree and x != base_node for x in s)]
     sl = list(rng.choice(slices))
     members = rng.randint(3, 5)
-    try:
-        c = diagonal_creature(1, base, sl, members, 5 + rng.randint(0, 4), params, tree)
-    except (PreconditionError, ValidationError):
+    c = _or_none(diagonal_creature, 1, base, sl, members, 5 + rng.randint(0, 4), params, tree)
+    if c is None:
         return None
     n0 = cached_norm0(c, tree, params)
     if n0 < 2:
@@ -381,9 +388,8 @@ def _draw_rebase(rng: random.Random):
 
 def _check_rebase(tree, params, c, etastar) -> SuiteOutcome:
     # rebase's own premise l1 + l2 < norm0 (with l2 = 1) keeps norm0 >= 2
-    try:
-        res = rebase(c, etastar, tree, params)
-    except (PreconditionError, ValidationError):
+    res = _or_none(rebase, c, etastar, tree, params)
+    if res is None:
         return _MISS
     d = res.creature
     nd = cached_norm0(d, tree, params)
@@ -491,9 +497,8 @@ def _draw_halving(rng: random.Random):
     tree, params = _halving_context()
     slice_ = rng.choice([[3], [4], [3, 4], [6, 7]])
     members = rng.randint(4, 12)
-    try:
-        c = diagonal_creature(0, SpecFn.make({}), slice_, members, rng.randint(0, 9), params, tree)
-    except (PreconditionError, ValidationError):
+    c = _or_none(diagonal_creature, 0, SpecFn.make({}), slice_, members, rng.randint(0, 9), params, tree)
+    if c is None:
         return None
     nh = normhalf(c, tree, params)
     if nh < 3:
@@ -540,11 +545,9 @@ def _leq_pair(rng, tree, params):
     if not free:
         return None
     x = rng.choice(free)
-    try:
-        q = extend_fragment(p, tree, params, x, rng.randrange(params.n3[-1]), from_level=rng.randint(1, 2))
-    except (PreconditionError, ValidationError):
-        return None
-    return p, q
+    value = rng.randrange(params.n3[-1])
+    q = _or_none(extend_fragment, p, tree, params, x, value, from_level=rng.randint(1, 2))
+    return None if q is None else (p, q)
 
 
 def _run_leq(rng: random.Random) -> SuiteOutcome:
@@ -553,7 +556,7 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
     if pair is None:
         return _MISS
     p, q = pair
-    pr = leq(p, q, tree, params)
+    pr = leq(p, q, params)
     if isinstance(pr, NotRelated):
         return SuiteOutcome(False, True, {"not_related": pr.clause})
     ip, iq = kind_of(p, params), kind_of(q, params)
@@ -575,9 +578,9 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
         r = restrict(q, eta)
     except (DomainError, ConstructionError):
         return SuiteOutcome(True, True, info)
-    pr2 = leq(q, r, tree, params)
+    pr2 = leq(q, r, params)
     if isinstance(pr2, Projection):
-        direct = leq(p, r, tree, params)
+        direct = leq(p, r, params)
         composed = pr.compose(pr2)
         if isinstance(direct, NotRelated):
             return SuiteOutcome(False, True, {"transitivity": "direct missing"})
@@ -619,9 +622,8 @@ def _run_fusion(rng: random.Random) -> SuiteOutcome:
 def _run_smoothen(rng: random.Random) -> SuiteOutcome:
     tree, params = _condition_context()
     hold = rng.choice([[2], [2], [1]])
-    try:
-        p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 4), hold_out=hold)
-    except (PreconditionError, ValidationError):
+    p = _or_none(smooth_target_fragment, tree, params, alpha=2, branching=(2, 4), hold_out=hold)
+    if p is None:
         return _MISS
     m = rng.randint(0, 1)
     try:
@@ -633,7 +635,7 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
         return SuiteOutcome(False, True, {"smooth": cls.smooth, "alpha": cls.alpha})
     if not leq_n(p, q, m, tree, params):
         return SuiteOutcome(False, True, {"grade": m})
-    pr = leq(p, q, tree, params)
+    pr = leq(p, q, params)
     for eta in q.internal():
         n_new = cached_norm0(creature_at(q, eta, params), tree, params)
         n_old = cached_norm0(creature_at(p, pr(eta), params), tree, params)
@@ -666,7 +668,7 @@ def _run_purify(rng: random.Random) -> SuiteOutcome:
             lv = res.inside_levels[nu]
             if not all(fn in xset for fn in cone if q.level_of(fn) >= lv):
                 return SuiteOutcome(False, True, {"alt": "inside broken"})
-    pr = leq(p, q, tree, params)
+    pr = leq(p, q, params)
     for eta in q.internal():
         nu = pr(eta)
         cq = creature_at(q, eta, params)
@@ -782,20 +784,18 @@ def _tall_tree() -> AmbientTree:
 def _run_fact26(rng: random.Random) -> SuiteOutcome:
     tree = _tall_tree()
     params = profile("cond2")
-    try:
-        p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 4))
-    except (PreconditionError, ValidationError):
+    p = _or_none(smooth_target_fragment, tree, params, alpha=2, branching=(2, 4))
+    if p is None:
         return _MISS
     # weakly smooth: coverage k = 0 (u empty here, the strongest case)
     free = [x for x in tree.nodes if all(x not in fn for fn in p.fns)]
     if not free:
         return _MISS
     x = rng.choice(free)
-    try:
-        q = extend_fragment(p, tree, params, x, rng.randrange(20), from_level=2)
-    except (PreconditionError, ValidationError):
+    q = _or_none(extend_fragment, p, tree, params, x, rng.randrange(20), from_level=2)
+    if q is None:
         return _MISS
-    pr = leq(p, q, tree, params)
+    pr = leq(p, q, params)
     if isinstance(pr, NotRelated):
         return SuiteOutcome(False, True, {"leq": pr.clause})
     seg = initial_segment(tree, p.coverage.alpha) | p.coverage.u
@@ -830,12 +830,12 @@ def _run_claim28(rng: random.Random) -> SuiteOutcome:
                 return SuiteOutcome(False, True, {"transitive_leqn": True})
         if not leq_n(p, q, 0, tree, params):
             return SuiteOutcome(False, True, {"grade_weaken": True})
-        if isinstance(leq(p, q, tree, params), NotRelated):
+        if isinstance(leq(p, q, params), NotRelated):
             return SuiteOutcome(False, True, {"leqn_implies_leq": True})
     # projection uniqueness on a restricted pair: any clause-satisfying map equals ours
     eta = rng.choice(list(p.level_nodes(1)))
     cone = restrict(p, eta)
-    pr = leq(p, cone, tree, params)
+    pr = leq(p, cone, params)
     if isinstance(pr, NotRelated):
         return SuiteOutcome(False, True, {"cone_leq": pr.clause})
     alt = _count_projections(p, cone, params)
@@ -846,7 +846,7 @@ def _run_claim28(rng: random.Random) -> SuiteOutcome:
         nq = normalize(p, tree, params)
     except PreconditionError:
         return SuiteOutcome(True, True, {"normalize": "skipped"})
-    prn = leq(p, nq, tree, params)
+    prn = leq(p, nq, params)
     if isinstance(prn, NotRelated):
         return SuiteOutcome(False, True, {"normalize_leq": prn.clause})
     for fn in nq.internal():

@@ -190,6 +190,24 @@ def test_reduction_matches_oracle_random(tree, params):
     assert checked > 150
 
 
+@pytest.mark.parametrize("i, g", [(0, SWEEP), (1, ((2, 5), (3, 9), (4, 12)))], ids=["kind-0", "kind-1"])
+def test_norm0_matches_the_oracle_with_the_base_in_the_value_range(tree, i, g):
+    """A value range that holds its base goes through the level loop like any
+    other: random creatures with the base added, and the base alone."""
+    g = make_growth(i, g)
+    rng = random.Random(24 + i)
+    checked = 0
+    for _ in range(80):
+        c = random_creature(rng, tree, g, i=i, max_members=3, value_bound=6)
+        if c is None:
+            continue
+        for held in (c.valrange + (c.base,), (c.base,)):
+            d = SimpleCreature.make(i, c.base, held)
+            assert norm0(d, tree, g, validate=False) == oracle_norm0(d, tree, g, validate=False), d
+            checked += 1
+    assert checked > 100
+
+
 def test_hit_by_matches_an_enumeration_of_value_sets():
     """`_hit_by(masks, s)` against every s-subset of 5 values (all 5 once s
     exceeds them), for every family of at most 4 masks over those values: the

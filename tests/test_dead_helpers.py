@@ -14,7 +14,10 @@ def test_every_helper_has_a_reader_outside_the_tests():
     counts as a reader. `cmd_*` functions are exempt: `cli.main` looks them up
     by name, and `test_every_subcommand_has_a_cmd_function` covers them.
     `halve_below` and `default_shape` pass because `bench/` names them; the
-    benchmark is the reason they stay.
+    benchmark is the reason they stay. A name's own definition, its body
+    included, is no reader: a message or a recursive call inside it does not
+    count. `amalgamate` is exempt: it is one of the paper's operations, and
+    ROADMAP item 6 gives it a suite.
     """
     modules = [p for p in sorted((ROOT / "src" / "creature_lab").glob("*.py")) if p.name != "__init__.py"]
     readers = modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
@@ -28,7 +31,8 @@ def test_every_helper_has_a_reader_outside_the_tests():
         for node in ast.parse(module.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("cmd_"):
                 continue
-            if not lines_naming[node.name] - {(module, node.lineno)}:
+            own = {(module, n) for n in range(node.lineno, node.end_lineno + 1)}
+            if node.name != "amalgamate" and not lines_naming[node.name] - own:
                 dead.append(f"{module.stem}:{node.lineno} {node.name}")
     assert not dead, "no reader outside the tests: " + ", ".join(dead)
 
@@ -110,6 +114,34 @@ def _unread_locals(tree: ast.Module) -> list[tuple[int, str]]:
         read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         out += [(line, name) for name, line in stored.items() if name not in read | declared]
     return out
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[int, str]]:
+    """Parameters that no code of their function (nested scopes included)
+    reads; `self`, `cls` and `_`-names are exempt."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(arg.lineno, f"{fn.name}({arg.arg})") for arg in params
+                if arg.arg not in read and arg.arg not in ("self", "cls") and not arg.arg.startswith("_")]
+    return out
+
+
+def test_every_parameter_is_read():
+    """No function of `src/creature_lab` takes a parameter it never reads.
+    `decide`'s `shape` is exempt: the benchmark's `decide` workload and its
+    tests fill that slot positionally."""
+    unread = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted((ROOT / "src" / "creature_lab").glob("*.py"))
+        for line, name in _unread_parameters(ast.parse(path.read_text()))
+        if (path.stem, name) != ("homogenize", "decide(shape)")
+    ]
+    assert not unread, "unread parameters: " + ", ".join(unread)
 
 
 def test_no_unused_import_or_unread_local():

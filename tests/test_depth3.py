@@ -45,7 +45,7 @@ def test_depth3_restrict_all_internal_levels(ctx, frag):
         eta = frag.level_nodes(lv)[0]
         cone = restrict(frag, eta)
         assert kind_of(cone, params) == lv
-        pr = leq(frag, cone, tree, params)
+        pr = leq(frag, cone, params)
         assert isinstance(pr, Projection) and pr.shift == lv
 
 

@@ -24,7 +24,6 @@ from creature_lab.forcing import (
     validate_condition,
 )
 from creature_lab.generators import (
-    FragmentPlan,
     canonical_fragment,
     depth2_fragment,
     extend_fragment,
@@ -95,7 +94,7 @@ def test_two_roots_rejected():
 
 def test_leq_reflexive_identity(ctx, frag):
     tree, params, _ = ctx
-    pr = leq(frag, frag, tree, params)
+    pr = leq(frag, frag, params)
     assert isinstance(pr, Projection)
     assert pr.shift == 0
     assert all(a == b for a, b in pr.mapping.items())
@@ -106,7 +105,7 @@ def test_leq_restrict_shift(ctx, frag):
     eta = frag.level_nodes(1)[0]
     cone = restrict(frag, eta)
     assert cone.root == eta and cone.depth == 1
-    pr = leq(frag, cone, tree, params)
+    pr = leq(frag, cone, params)
     assert isinstance(pr, Projection) and pr.shift == 1
 
 
@@ -116,9 +115,9 @@ def test_leq_transitivity_composition(ctx, frag):
     q = restrict(frag, eta)
     leaf = q.level_nodes(1)[0]
     r = restrict(q, leaf)
-    pr_pq = leq(frag, q, tree, params)
-    pr_qr = leq(q, r, tree, params)
-    direct = leq(frag, r, tree, params)
+    pr_pq = leq(frag, q, params)
+    pr_qr = leq(q, r, params)
+    direct = leq(frag, r, params)
     assert isinstance(direct, Projection)
     composed = pr_pq.compose(pr_qr)
     assert composed.mapping == direct.mapping
@@ -130,7 +129,7 @@ def test_leq_kind_and_norm_monotone(ctx, frag):
     rng = random.Random(0)
     q = shrink_fragment_above(rng, frag, 0, tree, params)
     assert q is not None
-    pr = leq(frag, q, tree, params)
+    pr = leq(frag, q, params)
     assert isinstance(pr, Projection)
     for eta in q.internal():
         nu = pr(eta)
@@ -155,7 +154,7 @@ def test_leq_n_frozen_levels(ctx):
     assert q is not None
     assert leq_n(frag, q, 1, tree, params)
     assert leq_n(frag, q, 0, tree, params)  # 2.8(7): grades weaken
-    assert not isinstance(leq(frag, q, tree, params), NotRelated)
+    assert not isinstance(leq(frag, q, params), NotRelated)
 
 
 def test_leq_n_rejects_low_level_change(ctx, frag):
@@ -206,11 +205,10 @@ def test_fuse_two_chain(ctx, frag):
 
 def test_fuse_non_chain_rejected(ctx, frag):
     tree, params, shape = ctx
-    from creature_lab.generators import FragmentPlan, canonical_fragment
+    from creature_lab.generators import canonical_fragment
 
     # same shape, disjoint value bands: roots agree, nothing else projects
-    plan = FragmentPlan(branching=[2, 3], slices=[[0], [2, 3, 4, 5]], klabels=[1, 1, 0])
-    other = canonical_fragment(tree, params, plan, value_bands=[4, 30])
+    other = canonical_fragment(tree, params, [2, 3], [[0], [2, 3, 4, 5]], [1, 1, 0], value_bands=[4, 30])
     with pytest.raises(PreconditionError, match="chain"):
         fuse([frag, other], [0, 1], tree, params)
 
@@ -296,7 +294,7 @@ def test_amalgamate_strengthened_cones(ctx, frag):
         cones.append(q if q is not None else cone)
     out = amalgamate(frag, front, cones, tree, params)
     assert validate_condition(out, tree, params).ok
-    pr = leq(frag, out, tree, params)
+    pr = leq(frag, out, params)
     assert isinstance(pr, Projection)
     for eta, q in zip(front, cones):
         again = restrict(out, eta)
@@ -312,7 +310,7 @@ def test_amalgamate_rejects_a_label_above_the_half_norm(ctx, frag):
     eta = front[0]
     raised = normhalf(creature_at(frag, eta, params), tree, params) + 1
     cones[0] = ConditionFragment(parent=dict(cones[0].parent), klabel={**cones[0].klabel, eta: raised})
-    assert isinstance(leq(restrict(frag, eta), cones[0], tree, params), Projection)
+    assert isinstance(leq(restrict(frag, eta), cones[0], params), Projection)
     with pytest.raises(ValidationError, match=r"^amalgamate output invalid: \(iv\) creatures and labels: klabel"):
         amalgamate(frag, front, cones, tree, params)
 
@@ -327,7 +325,7 @@ def test_normalize_cone_min(ctx, frag):
     tree, params, _ = ctx
     nq = normalize(frag, tree, params)
     assert validate_condition(nq, tree, params).ok
-    pr = leq(frag, nq, tree, params)
+    pr = leq(frag, nq, params)
     assert isinstance(pr, Projection)
     for fn in nq.internal():
         target = min(
@@ -353,7 +351,7 @@ def test_smoothen_fills_missing_node(ctx):
     cls = classify(q, tree)
     assert cls.smooth and cls.alpha == 2
     assert leq_n(p, q, 1, tree, params)
-    pr = leq(p, q, tree, params)
+    pr = leq(p, q, params)
     for eta in q.internal():
         n_new = norm0(creature_at(q, eta, params), tree, params, validate=False)
         n_old = norm0(creature_at(p, pr(eta), params), tree, params, validate=False)
@@ -373,7 +371,7 @@ def test_smoothen_grafts_below_the_fill_level(monkeypatch, branching, fill_level
     params = make_growth(3, (n1, n1, (16, 128, 3 * 4096, 4 * 4096**2)))
     tree = build_tree(11, [], nodes=range(11))
     slices = [[0], list(range(1, 9)), [9]]
-    p = canonical_fragment(tree, params, FragmentPlan(list(branching), slices, [1, 1, 1, 0]))
+    p = canonical_fragment(tree, params, list(branching), slices, [1, 1, 1, 0])
     norms = [norm0(creature_at(p, fn, params), tree, params) for fn in p.level_nodes(fill_level)]
     assert min(norms) == 2 and p.depth == 3
     rebased = []
@@ -392,7 +390,7 @@ def test_smoothen_grafts_below_the_fill_level(monkeypatch, branching, fill_level
         assert leq_n(p, q, m, tree, params)
         assert classify(q, tree).smooth
         assert all(10 in leaf for leaf in q.leaves())
-        pr = leq(p, q, tree, params)
+        pr = leq(p, q, params)
         assert all(q.klabel[fn] == p.klabel[pr(fn)] for fn in q.fns)
 
 

@@ -11,10 +11,11 @@ from creature_lab.creature import (
     ClauseCheck,
     ClauseReport,
     SimpleCreature,
+    cached_norm0,
     normhalf,
     validate_creature,
 )
-from creature_lab.errors import DomainError, PreconditionError
+from creature_lab.errors import DomainError, PreconditionError, ValidationError
 from creature_lab.forcing import ConditionFragment, creature_at, leq, leq_n, subfragment, validate_condition
 from creature_lab.generators import (
     depth2_fragment,
@@ -143,7 +144,7 @@ def test_purify_norm_drops(ctx, frag):
         except PreconditionError:
             continue
         q = res.fragment
-        pr = leq(frag, q, tree, params)
+        pr = leq(frag, q, params)
         for eta in q.internal():
             nu = pr(eta)
             cq, cp = creature_at(q, eta, params), creature_at(frag, nu, params)
@@ -170,6 +171,69 @@ def test_purify_kstar_budget(ctx, frag):
     assert leq_n(frag, res.fragment, 1, tree, params)
     for nu in res.front:
         assert res.alternatives[nu] in ("inside", "disjoint")
+
+
+def _purify_corpus(name):
+    """purify's answers on one fragment: X empty, each node's cone and 30
+    seeded random upward-closed sets, kstar from 0 to depth + 1.  An answer
+    is the result as plain values, or the exception's type and message; each
+    comes with whether the colour split's fallback decided it (a kept side
+    below half its node's norm0, or no valid side at all)."""
+    p, tree, params = _fragment(name)
+    xsets = {frozenset(), *(frozenset(p.cone_nodes(fn)) for fn in p.fns)}
+    rng = random.Random(2400)
+    xsets.update(random_upward_closed(rng, p) for _ in range(30))
+    out = []
+    for kstar in range(p.depth + 2):
+        for xset in sorted(xsets, key=lambda s: sorted(fn.pairs for fn in s)):
+            try:
+                res = purify(p, xset, kstar, tree, params)
+            except (DomainError, PreconditionError, ValidationError) as exc:
+                out.append(((type(exc).__name__, str(exc)), "no valid creature side" in str(exc)))
+                continue
+            q = res.fragment
+            answer = (
+                _rows(q),
+                [fn.pairs for fn in res.front],
+                sorted((fn.pairs, alt) for fn, alt in res.alternatives.items()),
+                sorted((fn.pairs, lv) for fn, lv in res.inside_levels.items()),
+            )
+            fallback = any(
+                cached_norm0(creature_at(q, eta, params), tree, params)
+                < (cached_norm0(creature_at(p, eta, params), tree, params) + 1) // 2
+                for eta in q.internal()
+            )
+            out.append((answer, fallback))
+    return out
+
+
+# sha256 of purify's answers on _purify_corpus, taken before purify became
+# one recursion
+_PURIFY_GOLDEN = {
+    "2x3": "6113ba75238161deb2769d38bc7daeeb4c23d514f9a7ef996a20b1dacd74d2ea",
+    "3x3": "79b958ca16c8775f97810184b44430fc75b0940dd1a013b495352e119199acac",
+    "3x4": "5f046298fd335406a7977b12b221b9563e2c87fb9f0dedaed16894ac687d123e",
+    "3x5": "1c921643ce41095afa0947ced065f5ae9aa5083c1482dec8bd65576e1602a0cb",
+    "2x5": "23249cde49e2c0a35a60e0c253ecbae8256735962e4158d1a7b91893671a9c62",
+    "2x2x3": "0ff34dc21958ab42af3b16a0ee83f4b5ef8488f02c093b103e0a9f4a3c0b8a91",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PURIFY_GOLDEN))
+def test_purify_answers_match_golden_digests(name):
+    answers = [answer for answer, _ in _purify_corpus(name)]
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == _PURIFY_GOLDEN[name]
+
+
+def test_the_purify_corpus_reaches_the_fallback():
+    """Some cases of the digest corpus keep a side below half the norm, and
+    some find no valid side: both branches of the fallback are pinned."""
+    raised = kept = 0
+    for name in _PURIFY_GOLDEN:
+        for answer, fallback in _purify_corpus(name):
+            raised += fallback and isinstance(answer[0], str)
+            kept += fallback and not isinstance(answer[0], str)
+    assert raised > 0 and kept > 0, (raised, kept)
 
 
 def test_halve_below_identity_at_zero(ctx, frag):
@@ -543,16 +607,18 @@ def test_not_found_builds_and_validates_nothing(name, m, searched, monkeypatch):
     assert calls == {"validate_condition": 0, "leq_n": 0}
 
 
+def _rows(q):
+    """A fragment's nodes by their pairs, each with its parent's pairs and its
+    counter."""
+    return sorted(
+        (fn.pairs, None if q.parent[fn] is None else q.parent[fn].pairs, q.klabel[fn]) for fn in q.fns
+    )
+
+
 def _answer(res):
-    """A decide result as plain values: fragment nodes and table entries by
-    their pairs, each node with its parent's pairs and its counter."""
-    frag = None
-    if res.fragment is not None:
-        q = res.fragment
-        frag = sorted(
-            (fn.pairs, None if q.parent[fn] is None else q.parent[fn].pairs, q.klabel[fn])
-            for fn in q.fns
-        )
+    """A decide result as plain values: fragment nodes (as `_rows`) and table
+    entries by their pairs."""
+    frag = None if res.fragment is None else _rows(res.fragment)
     table = sorted((fn.pairs, v) for fn, v in res.table.items())
     return (res.found, res.level, res.stage, res.exhaustive, res.searched, table, frag)
 

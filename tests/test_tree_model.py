@@ -45,13 +45,13 @@ def test_initial_segment():
     t = build_tree(2, [(0, 2), (0, 3)])
     assert initial_segment(t, 0) == frozenset()
     assert initial_segment(t, 1) == frozenset({0})
-    assert initial_segment(t, t.height) == frozenset(t.nodes)
+    assert initial_segment(t, max(t.level(x) for x in t.nodes) + 1) == frozenset(t.nodes)
 
 
 def test_branches_cover_and_are_incomparable():
     t = build_tree(3, [(0, 3), (0, 4), (3, 6), (3, 7), (1, 5), (5, 8)], nodes=[2])
     bs = t.branches()
-    leaves = {x for x in t.nodes if not t.children(x)}
+    leaves = set(t.nodes) - set(t.parent.values())
     assert {b[-1] for b in bs} == leaves
     for x in t.nodes:
         assert any(x in b for b in bs)
