@@ -73,19 +73,14 @@ class ConditionFragment:
                 if par not in parent:
                     raise ConstructionError(f"parent of {fn} not a fragment node")
                 children[par].append(fn)
+        # the walk reads `order` as it grows; each node has one parent, so it
+        # meets a node at most once, and never meets one on a parent cycle
         order = [self._root]
-        seen = {self._root}
-        idx = 0
-        while idx < len(order):
-            cur = order[idx]
-            idx += 1
+        for cur in order:
             for ch in children[cur]:
                 level[ch] = level[cur] + 1
-                if ch in seen:
-                    raise ConstructionError("fragment parent links contain a cycle")
-                seen.add(ch)
                 order.append(ch)
-        if len(seen) != len(parent):
+        if len(order) != len(parent):
             raise ConstructionError("fragment is not connected")
         self._children = {fn: tuple(sorted(chs, key=lambda f: f.pairs)) for fn, chs in children.items()}
         by_level: dict[int, list[SpecFn]] = {}

@@ -80,17 +80,21 @@ def purify(
     """Majority-colour restriction of p against an upward-closed set.
 
     Colour 0 marks nodes whose kept cone is eventually inside the set.  One
-    recursion paints each node above the front and returns its colour with
-    the nodes of its cone that stay: a node of the set keeps its whole cone,
-    and at any other internal node the first colour side (in colour order)
-    with at least half the game norm survives, so norm2 and norm drop by at
-    most one at every changed creature.  When neither side reaches half (the
-    odd-norm boundary of the bigness argument) the side with the larger norm0
-    that is still a creature survives, ties towards colour 0.  The front is
-    the shallowest level >= kstar from which every deeper creature keeps norm
-    >= kstar + 1, so the result stays a graded extension: one past the
-    deepest internal node at level >= kstar that misses that budget (with
-    kstar = 0 none does).  Levels below the front are kept verbatim.
+    recursion paints each node above the front and returns its colour, the
+    nodes of its cone that stay, and the level from which that kept cone lies
+    inside the set: a node's own level when it is in the set, else the
+    largest of its kept children's (depth + 1 when the cone never enters the
+    set); `inside_levels` holds it for the colour-0 front nodes.  A node of
+    the set keeps its whole cone, and at any other internal node the first
+    colour side (in colour order) with at least half the game norm survives,
+    so norm2 and norm drop by at most one at every changed creature.  When
+    neither side reaches half (the odd-norm boundary of the bigness argument)
+    the side with the larger norm0 that is still a creature survives, ties
+    towards colour 0.  The front is the shallowest level >= kstar from which
+    every deeper creature keeps norm >= kstar + 1, so the result stays a
+    graded extension: one past the deepest internal node at level >= kstar
+    that misses that budget (with kstar = 0 none does).  Levels below the
+    front are kept verbatim.
     """
     if not is_upward_closed(p, xset):
         raise PreconditionError("X is not upward closed in the fragment order")
@@ -109,13 +113,13 @@ def purify(
             f"no front level with norm budget kstar + 1 = {kstar + 1}"
         )
 
-    def paint(fn: SpecFn) -> tuple[int, list[SpecFn]]:
+    def paint(fn: SpecFn) -> tuple[int, list[SpecFn], int]:
         if fn in xset:
             # upward closure puts the whole cone inside the set
-            return 0, p.cone_nodes(fn)
+            return 0, p.cone_nodes(fn), p.level_of(fn)
         kids = p.children(fn)
         if not kids:
-            return 1, [fn]
+            return 1, [fn], p.depth + 1
         painted = {ch: paint(ch) for ch in kids}
         c = creature_at(p, fn, params)
         sides = []  # (norm0, colour, creature) for each nonempty side, in colour order
@@ -135,30 +139,24 @@ def purify(
                 )
             pick = max(valid, key=lambda side: side[0])
         _, col, cand = pick
-        return col, [fn, *(node for ch in cand.valrange for node in painted[ch][1])]
+        kept = [fn, *(node for ch in cand.valrange for node in painted[ch][1])]
+        return col, kept, max(painted[ch][2] for ch in cand.valrange)
 
     keep = {fn for lv in range(front_level) for fn in p.level_nodes(lv)}
     front = list(p.level_nodes(front_level))
     alternatives: dict[SpecFn, str] = {}
+    inside_levels: dict[SpecFn, int] = {}
     for nu in front:
-        col, kept = paint(nu)
+        col, kept, level = paint(nu)
         keep.update(kept)
         alternatives[nu] = ("inside", "disjoint")[col]
+        if col == 0:
+            inside_levels[nu] = level
     q = subfragment(p, keep)
     validate_condition(q, tree, params).require("purify output invalid")
     if not leq_n(p, q, kstar, tree, params):
         raise ValidationError("purify output is not a graded extension at kstar")
-    inside_levels = {nu: _verify_inside_level(q, nu, xset) for nu in front if alternatives[nu] == "inside"}
     return PurifyResult(fragment=q, front=front, alternatives=alternatives, inside_levels=inside_levels)
-
-
-def _verify_inside_level(q: ConditionFragment, nu: SpecFn, xset: frozenset[SpecFn]) -> int:
-    """The least level from which the whole cone above nu sits inside the set."""
-    cone = q.cone_nodes(nu)
-    for lv in range(q.level_of(nu), q.depth + 1):
-        if all(fn in xset for fn in cone if q.level_of(fn) >= lv):
-            return lv
-    raise ValidationError(f"cone above {nu} never enters the set")
 
 
 def halve_below(

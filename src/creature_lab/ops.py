@@ -131,21 +131,18 @@ def fill(
     # above-count budget: < i, read as <= max(i-1, 0) so that kind 0 admits
     # the (only possible) zero count
     above_cap = max(i - 1, 0)
+    # values of any member on nodes above some x are forbidden uniformly
+    forbidden_common: set[int] = set()
     for eta in c.valrange:
-        above = [y for y in eta.dom() if any(tree.less(x, y) for x in xs)]
+        above = [v for y, v in eta.pairs if any(tree.less(x, y) for x in xs)]
         _require(
             len(above) <= above_cap,
             "(e)",
             f"member {eta} has {len(above)} domain points above the xs (cap {above_cap})",
         )
+        forbidden_common.update(above)
 
     xs_sorted = sorted(xs)
-    # values of any member on nodes above some x are forbidden uniformly
-    forbidden_common: set[int] = set()
-    for eta in c.valrange:
-        for y, v in eta.pairs:
-            if any(tree.less(x, y) for x in xs_sorted):
-                forbidden_common.add(v)
     new_members: list[SpecFn] = []
     used_values: set[int] = set()
     for eta in c.valrange:
@@ -336,9 +333,11 @@ def halve(
     f(normhalf, k') >= f(normhalf, k) - 1.  Among the counters that keep the
     drop within one unit it is the best one for the recovery property (a half
     norm n' > k' must give back the original norm at k), since raising k'
-    only shrinks the range of n' to be recovered.  For the lg shape it is
-    min(2k, normhalf - 1).  `repaired` records that the shape's own witness
-    (`halving_witness`) would have broken the drop bound.
+    only shrinks the range of n' to be recovered.  For the lg shape the bound
+    reads k' <= 2k, so k' = min(2k, normhalf - 1), computed in closed form.
+    It exceeds k whenever normhalf >= k + 2; below that the shape's own
+    witness (`halving_witness`) raises, as no integer lies in (k, normhalf).
+    `repaired` records that this witness would have broken the drop bound.
     """
     c = cplus.simple
     validate_creature(c, params, tree).require("halve of invalid creature")
@@ -348,10 +347,4 @@ def halve(
         raise PreconditionError(f"halve requires norm >= 1, got f({nh}, {k}) < 1")
     kd = halving_witness(nh, k)
     repaired = not NormShape.norm_geq_shifted(nh, kd, nh, k, 1)
-    kp = next(
-        (cand for cand in range(nh - 1, k, -1) if NormShape.norm_geq_shifted(nh, cand, nh, k, 1)),
-        None,
-    )
-    if kp is None:
-        raise PreconditionError("halve: no counter satisfies the drop bound")
-    return HalveResult(creature=Creature(simple=c, k=kp), repaired=repaired)
+    return HalveResult(creature=Creature(simple=c, k=min(2 * k, nh - 1)), repaired=repaired)

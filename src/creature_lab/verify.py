@@ -9,7 +9,10 @@ at a time for as long as the same check still fails; the locally minimal
 creature is embedded in the report as a fixture.  The other suites report no
 counterexample.  Reports are pure functions of (suite, count, seed) and
 identical under any --jobs split: instance j is generated from
-Random(seed * 1_000_003 + j).
+Random(seed * 1_000_003 + j).  Each suite family reads one (tree, params),
+built at import, so its instances share that tree's memo; the memo is keyed
+by values, so no report depends on what it holds.  `_decide_oracle` alone
+checks on a cold copy of its tree.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import itertools
 import math
 import random
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import fixtures as fx
@@ -121,17 +123,15 @@ def _rng_for(seed: int, index: int) -> random.Random:
 
 # -- shared contexts ---------------------------------------------------------
 
-
-def _creature_context():
-    tree = chain_antichain_tree()
-    params = make_growth(0, ((9,), (16,), (12,)))
-    return tree, params
-
-
-def _condition_context():
-    tree = two_level_tree()
-    params = profile("cond2")
-    return tree, params
+_CREATURE = chain_antichain_tree(), make_growth(0, ((9,), (16,), (12,)))
+# rebasing preserves the kind, so only creatures with nonempty-base kinds can
+# grow their base; the suite works at kind 1
+_REBASE = chain_antichain_tree(), profile("ops")
+# wide value range so half-norms reach 6+, exercising the repair path
+_HALVING = chain_antichain_tree(), make_growth(0, ((8193,), (16384,), (8200,)))
+_CONDITION = two_level_tree(), profile("cond2")
+_DEPTH3 = wide_tree(6, 3), profile("cond3")
+_TALL = build_tree(3, [(0, 3), (0, 4), (1, 5), (3, 6), (4, 7), (5, 8)], nodes=[2]), profile("cond2")
 
 
 def _oracle_disagrees(d: SimpleCreature, nd: int, tree, params) -> bool:
@@ -207,7 +207,7 @@ def _run_normshape(rng: random.Random) -> SuiteOutcome:
 
 
 def _draw_norm_oracle(rng: random.Random):
-    tree, params = _creature_context()
+    tree, params = _CREATURE
     c = random_creature(rng, tree, params, value_bound=6)
     return None if c is None else (tree, params, c)
 
@@ -224,7 +224,7 @@ def _check_norm_oracle(tree, params, c) -> SuiteOutcome:
 
 
 def _draw_glue(rng: random.Random):
-    tree, params = _creature_context()
+    tree, params = _CREATURE
     c = random_creature(rng, tree, params, max_members=3, value_bound=8)
     if c is None or cached_norm0(c, tree, params) < 1:
         return None
@@ -239,26 +239,17 @@ def _draw_glue(rng: random.Random):
     for eta in c.valrange:
         pool = [x for x in free if all(not tree.comparable(x, y) for y in eta.dom())]
         rng.shuffle(pool)
-        picks: list[list[int]] = []
-        flat: list[int] = []
+        picks: dict[int, int] = {}  # k -> its one new point, pairwise incomparable
         for k in range(kstar):
-            if rng.random() < 0.4 or not pool:
-                picks.append([])
+            if rng.random() < 0.4:
                 continue
-            cand = None
-            for x in pool:
-                if all(not tree.comparable(x, y) and x != y for y in flat):
-                    cand = x
-                    break
-            if cand is None:
-                picks.append([])
-                continue
-            pool.remove(cand)
-            flat.append(cand)
-            picks.append([cand])
+            cand = next((x for x in pool if not any(tree.comparable(x, y) for y in picks.values())), None)
+            if cand is not None:
+                picks[k] = cand
         for k in range(kstar):
             m = eta.as_dict()
-            for x in picks[k]:
+            if k in picks:
+                x = picks[k]
                 banned = {v for y, v in m.items() if tree.comparable(x, y)}
                 options = [v for v in range(params.n3[c.i]) if v not in banned]
                 if not options:
@@ -298,7 +289,7 @@ def _check_glue(tree, params, c, extensions, kstar) -> SuiteOutcome:
 
 
 def _draw_fill(rng: random.Random):
-    tree, params = _creature_context()
+    tree, params = _CREATURE
     c = random_creature(rng, tree, params, max_members=3, value_bound=8)
     if c is None:
         return None
@@ -348,10 +339,7 @@ def _check_fill(tree, params, c, xs) -> SuiteOutcome:
 
 
 def _draw_rebase(rng: random.Random):
-    # rebasing preserves the kind, so only creatures with nonempty-base kinds
-    # can grow their base; the suite works at kind 1
-    tree = chain_antichain_tree()
-    params = profile("ops")
+    tree, params = _REBASE
     base_node = rng.choice([0, 1, 2])
     base = SpecFn.make({base_node: rng.randint(0, 3)})
     slices = [s for s in ([3, 4], [4, 5], [3, 5], [6, 7], [7, 8])
@@ -388,8 +376,9 @@ def _draw_rebase(rng: random.Random):
 
 def _check_rebase(tree, params, c, etastar) -> SuiteOutcome:
     # rebase's own premise l1 + l2 < norm0 (with l2 = 1) keeps norm0 >= 2
-    res = _or_none(rebase, c, etastar, tree, params)
-    if res is None:
+    try:
+        res = rebase(c, etastar, tree, params)
+    except PreconditionError:
         return _MISS
     d = res.creature
     nd = cached_norm0(d, tree, params)
@@ -404,7 +393,7 @@ def _check_rebase(tree, params, c, etastar) -> SuiteOutcome:
 
 
 def _draw_shrink(rng: random.Random):
-    tree, params = _creature_context()
+    tree, params = _CREATURE
     c = random_creature(rng, tree, params, value_bound=8)
     if c is None:
         return None
@@ -469,7 +458,7 @@ def _bigness_violations(c: SimpleCreature, tree, params) -> dict:
 
 
 def _draw_bigness(rng: random.Random):
-    tree, params = _creature_context()
+    tree, params = _CREATURE
     c = random_creature(rng, tree, params, max_members=5, value_bound=8)
     return None if c is None else (tree, params, c)
 
@@ -486,15 +475,8 @@ def _check_bigness(tree, params, c) -> SuiteOutcome:
 # -- suite: halving ----------------------------------------------------------
 
 
-def _halving_context():
-    tree = chain_antichain_tree()
-    # wide value range so half-norms reach 6+, exercising the repair path
-    params = make_growth(0, ((8193,), (16384,), (8200,)))
-    return tree, params
-
-
 def _draw_halving(rng: random.Random):
-    tree, params = _halving_context()
+    tree, params = _HALVING
     slice_ = rng.choice([[3], [4], [3, 4], [6, 7]])
     members = rng.randint(4, 12)
     c = _or_none(diagonal_creature, 0, SpecFn.make({}), slice_, members, rng.randint(0, 9), params, tree)
@@ -551,7 +533,7 @@ def _leq_pair(rng, tree, params):
 
 
 def _run_leq(rng: random.Random) -> SuiteOutcome:
-    tree, params = _condition_context()
+    tree, params = _CONDITION
     pair = _leq_pair(rng, tree, params)
     if pair is None:
         return _MISS
@@ -593,7 +575,7 @@ def _run_leq(rng: random.Random) -> SuiteOutcome:
 
 
 def _run_fusion(rng: random.Random) -> SuiteOutcome:
-    tree, params = _condition_context()
+    tree, params = _CONDITION
     p = depth2_fragment(tree, params, branching=rng.choice([(3, 3), (3, 4), (2, 5)]))
     chain = [p]
     ns = []
@@ -620,7 +602,7 @@ def _run_fusion(rng: random.Random) -> SuiteOutcome:
 
 
 def _run_smoothen(rng: random.Random) -> SuiteOutcome:
-    tree, params = _condition_context()
+    tree, params = _CONDITION
     hold = rng.choice([[2], [2], [1]])
     p = _or_none(smooth_target_fragment, tree, params, alpha=2, branching=(2, 4), hold_out=hold)
     if p is None:
@@ -648,7 +630,7 @@ def _run_smoothen(rng: random.Random) -> SuiteOutcome:
 
 
 def _run_purify(rng: random.Random) -> SuiteOutcome:
-    tree, params = _condition_context()
+    tree, params = _CONDITION
     p = depth2_fragment(tree, params, branching=rng.choice([(3, 3), (3, 5), (2, 3)]))
     xset = random_upward_closed(rng, p)
     kstar = rng.randint(0, 1)
@@ -746,13 +728,12 @@ def _decide_oracle(p, label, m, tree, params, cutoff):
 
 def _run_decide(rng: random.Random) -> SuiteOutcome:
     if rng.random() < 0.3:
-        tree = wide_tree(6, 3)
-        params = profile("cond3")
+        tree, params = _DEPTH3
         p = depth3_fragment(tree, params)
         m = 0
         cutoff = rng.randint(1, 2)
     else:
-        tree, params = _condition_context()
+        tree, params = _CONDITION
         p = depth2_fragment(tree, params, branching=rng.choice([(2, 3), (3, 3)]))
         m = rng.randint(0, 1)
         cutoff = 1
@@ -777,13 +758,8 @@ def _run_decide(rng: random.Random) -> SuiteOutcome:
 # -- suite: fact2.6 ----------------------------------------------------------
 
 
-def _tall_tree() -> AmbientTree:
-    return build_tree(3, [(0, 3), (0, 4), (1, 5), (3, 6), (4, 7), (5, 8)], nodes=[2])
-
-
 def _run_fact26(rng: random.Random) -> SuiteOutcome:
-    tree = _tall_tree()
-    params = profile("cond2")
+    tree, params = _TALL
     p = _or_none(smooth_target_fragment, tree, params, alpha=2, branching=(2, 4))
     if p is None:
         return _MISS
@@ -809,7 +785,7 @@ def _run_fact26(rng: random.Random) -> SuiteOutcome:
 
 
 def _run_claim28(rng: random.Random) -> SuiteOutcome:
-    tree, params = _condition_context()
+    tree, params = _CONDITION
     p = depth2_fragment(tree, params, branching=rng.choice([(3, 3), (3, 4)]))
     ip = kind_of(p, params)
     # level-size and domain-size bounds re-checked directly
@@ -947,6 +923,8 @@ def run_suite(suite: str, count: int, seed: int, jobs: int = 1) -> dict:
     if suite not in _RUNNERS:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if jobs > 1 and count >= 8:
+        from concurrent.futures import ProcessPoolExecutor
+
         # map keeps the input order, so results run by index
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, count // (jobs * 4))

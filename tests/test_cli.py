@@ -99,6 +99,14 @@ def test_propcheck_exit_codes():
     assert bad.returncode == 1  # documented claim defect surfaces here
 
 
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # run_suite imports the pool only when --jobs asks for workers
+    names = ["concurrent.futures", "multiprocessing", "creature_lab.verify"]
+    script = f"import sys, creature_lab.cli; print([m in sys.modules for m in {names!r}])"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
+    assert proc.stdout.strip() == "[False, False, True]"
+
+
 def test_propcheck_budget_exit_code():
     import os
 

@@ -92,6 +92,12 @@ def test_two_roots_rejected():
         ConditionFragment(parent={a: None, b: None}, klabel={a: 0, b: 0})
 
 
+def test_a_cycle_of_parent_links_is_not_connected():
+    r, a, b = EMPTY_FN, SpecFn.make({0: 0}), SpecFn.make({0: 1})
+    with pytest.raises(ConstructionError, match="fragment is not connected"):
+        ConditionFragment(parent={r: None, a: b, b: a}, klabel={r: 0, a: 0, b: 0})
+
+
 def test_leq_reflexive_identity(ctx, frag):
     tree, params, _ = ctx
     pr = leq(frag, frag, params)

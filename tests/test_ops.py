@@ -5,7 +5,8 @@ import pytest
 
 from creature_lab.creature import Creature, SimpleCreature, norm0, normhalf, normstar, validate_creature
 from creature_lab.errors import DomainError, PreconditionError
-from creature_lab.generators import chain_antichain_tree, diagonal_creature, profile
+from creature_lab import ops
+from creature_lab.generators import chain_antichain_tree, diagonal_creature, profile, wide_tree
 from creature_lab.oracle import oracle_norm0
 from creature_lab.ops import bigness_split, fill, glue, halve, rebase, shrink_to_norm
 from creature_lab.params import default_shape, log2ceil, make_growth
@@ -152,6 +153,20 @@ def test_fill_m_too_large(tree, params, four_member):
 def test_fill_node_already_present(tree, params, four_member):
     with pytest.raises(PreconditionError, match="already"):
         fill(four_member, [3], tree, params)
+
+
+def test_fill_forbids_the_values_above_the_xs_for_every_member():
+    # each member puts its own value (1..4) on node 16, above x = 10; none of
+    # those values may appear at 10 in any member of the result
+    tree, params = wide_tree(6, 3), profile("cond3")
+    base = SpecFn.make({0: 0, 1: 0, 2: 0, 3: 0})
+    c = diagonal_creature(2, base, [16, 17], 4, 1, params, tree)
+    k = norm0(c, tree, params)
+    d = fill(c, [10], tree, params).creature
+    above = {v for eta in c.valrange for y, v in eta.pairs if tree.less(10, y)}
+    assert above == {1, 2, 3, 4}
+    assert not {nu.as_dict()[10] for nu in d.valrange} & above
+    assert norm0(d, tree, params) >= k - 1
 
 
 def test_rebase_identity(tree, params, four_member):
@@ -324,6 +339,21 @@ def test_halve_precondition(tree, params, four_member):
     # normhalf equals the counter: f = 0 < 1
     with pytest.raises(PreconditionError):
         halve(cp, tree, params)
+
+
+def test_halve_takes_the_largest_counter_the_drop_bound_allows(monkeypatch, tree, params, four_member):
+    sh = default_shape()
+    for nh in range(2, 70):
+        monkeypatch.setattr(ops, "normhalf", lambda c, tree, params: nh)
+        for k in range(1, nh // 2 + 1):
+            scan = [kp for kp in range(nh - 1, k, -1) if sh.norm_geq_shifted(nh, kp, nh, k, 1)]
+            if not scan:
+                # (k, nh) holds no integer: halving_witness refuses first
+                assert (nh, k) == (2, 1)
+                with pytest.raises(PreconditionError, match="strictly between 1 and 2"):
+                    halve(Creature(four_member, k), tree, params)
+                continue
+            assert halve(Creature(four_member, k), tree, params).creature.k == scan[0]
 
 
 def test_halve_monotone_and_drop_sweep(tree):

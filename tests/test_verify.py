@@ -1,9 +1,10 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
 from creature_lab import fixtures as fx
-from creature_lab import verify
+from creature_lab import creature, verify
 from creature_lab.creature import SimpleCreature, validate_creature
 from creature_lab.errors import DomainError, PreconditionError, ValidationError
 from creature_lab.generators import chain_antichain_tree, diagonal_creature
@@ -192,6 +193,44 @@ def test_reports_match_golden_digests():
     assert got == _GOLDEN
 
 
+def test_an_invalid_rebase_output_fails_the_suite(monkeypatch):
+    # a rebase whose output keeps one member refuses it with a ValidationError;
+    # that is the operation failing, not a premise miss
+    real = verify.rebase
+
+    def one_member_rebase(c, etastar, tree, params):
+        d = real(c, etastar, tree, params).creature
+        kept = SimpleCreature.make(d.i, d.base, d.valrange[:1])
+        validate_creature(kept, params, tree).require("rebase produced an invalid creature")
+
+    monkeypatch.setattr(verify, "rebase", one_member_rebase)
+    rep = verify.run_suite("rebase", 40, 11)
+    assert rep["status"] == "fail"
+    assert rep["premise_hits"] == rep["failures"] == 40
+    assert "rebase produced an invalid creature" in rep["first_failure"]["info"]["error"]
+
+
+@pytest.mark.parametrize(
+    "suite, count, seed", [("fusion", 40, 48), ("claim2.8", 40, 46), ("smoothen", 40, 49)]
+)
+def test_no_suite_family_computes_a_norm_twice(monkeypatch, suite, count, seed):
+    # each family's instances share one tree memo; start from empty memos so
+    # that what earlier tests left there does not hide a second computation
+    for tree, _ in (verify._CREATURE, verify._REBASE, verify._HALVING, verify._CONDITION,
+                    verify._DEPTH3, verify._TALL):
+        monkeypatch.setattr(tree, "_memo", {})
+    calls = Counter()
+    real = creature.norm0
+
+    def counting(c, tree, params, validate=True):
+        calls[(c, params)] += 1
+        return real(c, tree, params, validate)
+
+    monkeypatch.setattr(creature, "norm0", counting)
+    assert verify.run_suite(suite, count, seed)["status"] == "pass"
+    assert calls and [key for key, n in calls.items() if n > 1] == []
+
+
 def test_premise_hit_rate_reported():
     rep = verify.run_suite("rebase", 40, 11)
     assert rep["premise_hits"] > 0
@@ -204,7 +243,7 @@ def test_decide_oracle_stops_at_its_enumeration_limit(monkeypatch):
     from creature_lab.generators import depth2_fragment, random_labeling
     from creature_lab.homogenize import LeafLabeling
 
-    tree, params = verify._condition_context()
+    tree, params = verify._CONDITION
     p = depth2_fragment(tree, params, branching=(3, 3))
     label = LeafLabeling(random_labeling(random.Random(1), p, values=2))
     args = (p, label, 0, tree, params, 1)
