@@ -18,7 +18,7 @@ from .creature import SimpleCreature, validate_creature
 from .errors import PreconditionError
 from .forcing import ConditionFragment, Coverage, creature_at, subfragment, validate_condition
 from .params import GrowthSequences, make_growth
-from .specfn import SpecFn, is_spec
+from .specfn import SpecFn
 from .tree_model import AmbientTree, build_tree
 
 # profiles tuned so condition fragments of depth 2-3 exist at desk scale;
@@ -68,7 +68,11 @@ def random_specfn(
     bound: int,
     base: SpecFn | None = None,
 ) -> SpecFn | None:
-    """A random specialization function extending `base` (rejection sampling)."""
+    """A random specialization function extending `base` (rejection sampling).
+
+    `base` is a spec function with values below `bound`, and each new node
+    takes a value below `bound` that no comparable node holds: spec by construction.
+    """
     base_map = base.as_dict() if base else {}
     pool = [x for x in tree.nodes if x not in base_map]
     for _ in range(60):
@@ -77,19 +81,14 @@ def random_specfn(
             extra = len(pool)
         chosen = rng.sample(pool, extra) if extra else []
         m = dict(base_map)
-        ok = True
         for x in sorted(chosen):
             banned = {v for y, v in m.items() if tree.comparable(x, y)}
             options = [v for v in range(bound) if v not in banned]
             if not options:
-                ok = False
                 break
             m[x] = rng.choice(options)
-        if not ok:
-            continue
-        fn = SpecFn.make(m, bound=bound)
-        if is_spec(tree, fn, bound=bound):
-            return fn
+        else:
+            return SpecFn.make(m, bound=bound)
     return None
 
 

@@ -386,10 +386,8 @@ def _valid_subfragments(
         for subset in subsets:
             if not index.valid(p, fn, subset):
                 continue
-            pools = [cone_options(ch, lv + 1) for ch in subset]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*pools):
+            # a child with no options leaves the product empty
+            for combo in itertools.product(*[cone_options(ch, lv + 1) for ch in subset]):
                 counter[0] += 1
                 if counter[0] > limit:
                     raise DomainError("subfragment search exceeded the enumeration limit")

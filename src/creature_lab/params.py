@@ -2,8 +2,8 @@
 
 The three sequences n1, n2, n3 control every size bound in the calculus; the
 one shape f(n, k) = lg(n/k), clamped at 0, turns a creature's half-norm and
-counter into its norm, and kprime is the halving witness.  All
-integer-vs-norm comparisons are done in exact integer arithmetic.
+counter into its norm, and `halving_witness` picks the counter that halves
+it.  All integer-vs-norm comparisons are done in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class GrowthSequences:
         if size == 0:
             return 0
         for i in range(1, self.imax + 2):
-            if i - 1 <= self.imax and size <= self.n2[i - 1]:
+            if size <= self.n2[i - 1]:
                 return i
         raise DomainError(
             f"domain size {size} exceeds n2[imax] = {self.n2[self.imax]}; raise imax"
@@ -111,12 +111,11 @@ def make_growth(
 
 @dataclass(frozen=True)
 class NormShape:
-    """The norm shape f(n, k) = lg(n/k) clamped at 0, with its halving witness.
+    """The norm shape f(n, k) = lg(n/k) clamped at 0.
 
     The shape is fixed: no fields, static methods only.  `f` maps (n, k) with
-    k >= 1 to a nonnegative real; `kprime` maps (n, k) with f(n, k) >= 1 to an
-    integer strictly between k and n.  The exact comparators are used whenever
-    a norm is compared to an integer or to another norm shifted by an integer,
+    k >= 1 to a nonnegative real.  The exact comparators are used whenever a
+    norm is compared to an integer or to another norm shifted by an integer,
     so no decision suffers float rounding.
     """
 
@@ -127,12 +126,6 @@ class NormShape:
         if n <= k:
             return 0.0
         return math.log2(n / k)
-
-    @staticmethod
-    def kprime(n: int, k: int) -> int:
-        """round(sqrt(nk)), kept strictly between k and n."""
-        kd = _round_sqrt(n * k)
-        return min(max(kd, k + 1), n - 1)
 
     @staticmethod
     def norm_geq(n: int, k: int, threshold: int) -> bool:
@@ -163,19 +156,16 @@ class NormShape:
         return n1 * k2 * (1 << drop) >= n2 * k1
 
 
-def _round_sqrt(x: int) -> int:
-    """round(sqrt(x)) in exact integer arithmetic (ties cannot occur)."""
-    s = math.isqrt(x)
-    return s + 1 if x - s * s > s else s
-
-
 def default_shape() -> NormShape:
     """An instance of the fixed shape, for the slot `homogenize.decide` keeps."""
     return NormShape()
 
 
 def halving_witness(n: int, k: int) -> int:
-    """The halving witness k' with k < k' < n; requires f(n, k) >= 1."""
+    """k' = round(sqrt(nk)) clamped into [k + 1, n - 1]; requires f(n, k) >= 1.
+
+    r = isqrt(nk), plus 1 when nk - r^2 > r, is the r with (2r - 1)^2 <= 4nk < (2r + 1)^2.
+    """
     if k < 1:
         raise DomainError("halving witness requires k >= 1")
     if not NormShape.norm_geq(n, k, 1):
@@ -184,4 +174,5 @@ def halving_witness(n: int, k: int) -> int:
         )
     if n - k < 2:
         raise PreconditionError(f"no integer lies strictly between {k} and {n}")
-    return NormShape.kprime(n, k)
+    r = math.isqrt(n * k)
+    return min(max(r + 1 if n * k - r * r > r else r, k + 1), n - 1)

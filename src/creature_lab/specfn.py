@@ -42,9 +42,6 @@ class SpecFn:
         items = tuple(sorted((mapping or {}).items()))
         return SpecFn(pairs=items, bound=bound)
 
-    def dom(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.pairs)
-
     def domset(self) -> frozenset[int]:
         return self._domset
 

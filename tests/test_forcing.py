@@ -12,11 +12,13 @@ from creature_lab.forcing import (
     Projection,
     classify,
     creature_at,
+    fragments_agree_below,
     fuse,
     is_front,
     kind_of,
     leq,
     leq_n,
+    leq_strict_f,
     amalgamate,
     normalize,
     restrict,
@@ -413,3 +415,148 @@ def test_smoothen_budget_failure(ctx):
     p = smooth_target_fragment(tree, params, alpha=2, branching=(2, 2), hold_out=[2])
     with pytest.raises(PreconditionError, match="budget|absorb|norm"):
         smoothen(p, 2, 0, tree, params)
+
+
+# -- verdicts no suite reaches, on fragments built by hand --------------------
+
+
+def _fragment(parent, coverage=None):
+    """The fragment with these parent links, every klabel 0."""
+    return ConditionFragment(parent=parent, klabel=dict.fromkeys(parent, 0), coverage=coverage)
+
+
+def _failed_checks(p, tree, params):
+    return {c.clause: c.witness for c in validate_condition(p, tree, params).failures()}
+
+
+def test_a_level_over_its_n1_bound_fails_the_level_size_check():
+    tree, params = two_level_tree(), make_growth(1, ((2, 4), (2, 4), (8, 16)))
+    kids = [SpecFn.make({0: v}) for v in range(4)]
+    failed = _failed_checks(_fragment({EMPTY_FN: None, **dict.fromkeys(kids, EMPTY_FN)}), tree, params)
+    assert failed == {
+        "(iv) creatures and labels": f"creature at {EMPTY_FN}: clause (c) |valrange| = 4 not < n1[i] = 2",
+        "level-size bound": "|level 1| = 4 not < n1[1]",
+    }
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_a_domain_at_its_window_edge_fails_the_domain_size_check(level):
+    # a root of size n2[0] has kind 1, whose roots need a size below n2[0];
+    # a kind-0 root's children need the same
+    tree, params = two_level_tree(), make_growth(1, ((2, 4), (2, 4), (8, 16)))
+    wide = SpecFn.make({0: 0, 1: 0})
+    p = _fragment({wide: None} if level == 0 else {EMPTY_FN: None, wide: EMPTY_FN})
+    failed = _failed_checks(p, tree, params)
+    assert failed["domain-size bound"] == f"|dom| = 2 at level {level} not < n2[0]"
+    assert set(failed) == {"domain-size bound"} | ({"(iv) creatures and labels"} if level else set())
+
+
+def test_an_exceptional_set_meeting_the_segment_fails_coverage(ctx):
+    tree, params, _ = ctx
+    p = _fragment({EMPTY_FN: None}, coverage=Coverage(k=0, alpha=1, u=frozenset({0})))
+    assert _failed_checks(p, tree, params) == {"(vi) coverage": "u meets the initial segment"}
+
+
+def _first_missing_union(p, tree):
+    """Clause (v) from its definition: the first pair of nodes whose union is a
+    specialization function outside p."""
+    for a, b in itertools.combinations(p.fns, 2):
+        union = dict(a.pairs)
+        if any(union.setdefault(x, v) != v for x, v in b.pairs):
+            continue
+        pairs = itertools.combinations(union.items(), 2)
+        if any(vx == vy and tree.comparable(x, y) for (x, vx), (y, vy) in pairs):
+            continue
+        if SpecFn.make(union) not in p:
+            return f"union of {a} and {b} missing"
+    return None
+
+
+def test_clause_v_finds_the_first_missing_union_of_every_level_set(ctx):
+    tree, params, _ = ctx
+    # unions that are specialization functions, one that is not ({0:0} and
+    # {3:0}, with 0 below 3) and one that is no function ({0:0} and {0:1})
+    pool = [
+        SpecFn.make(m)
+        for m in ({0: 0}, {1: 0}, {2: 0}, {3: 0}, {0: 1}, {0: 0, 1: 0}, {1: 0, 2: 0}, {0: 1, 3: 0})
+    ]
+    witnesses = set()
+    for r in range(len(pool) + 1):
+        for kids in itertools.combinations(pool, r):
+            p = _fragment({EMPTY_FN: None, **dict.fromkeys(kids, EMPTY_FN)})
+            (check,) = [c for c in validate_condition(p, tree, params).checks if c.clause == "(v) closure"]
+            want = _first_missing_union(p, tree)
+            assert (check.ok, check.witness) == (want is None, want or ""), kids
+            witnesses.add(want)
+    assert len(witnesses) > 5
+
+
+# p: {} -> {0:0} -> {0:0,3:1,4:2} and {0:0,5:1}, kind 0.  A kind-1 q rooted at
+# {0:0,3:1} projects its root to {0:0}; that root holds node 3 of the first
+# leaf but not the whole leaf.
+_A = SpecFn.make({0: 0})
+_T1, _T2 = SpecFn.make({0: 0, 3: 1, 4: 2}), SpecFn.make({0: 0, 5: 1})
+_R = SpecFn.make({0: 0, 3: 1})
+
+
+def _shift_one_p():
+    return _fragment({EMPTY_FN: None, _A: EMPTY_FN, _T1: _A, _T2: _A})
+
+
+def test_leq_names_the_clause_a_pair_fails(ctx):
+    _, params, _ = ctx
+    empty, a, a1 = (_fragment({fn: None}) for fn in (EMPTY_FN, _A, SpecFn.make({0: 1})))
+    assert leq(a, empty, params) == NotRelated("i(p) <= i(q)", "i(p)=1 > i(q)=0")
+    assert leq(a, a1, params) == NotRelated("(a)", "no element of p is contained in rt(q)")
+    assert leq(empty, a, params) == NotRelated("(b)", "rt(q) projects to level 0, expected 1")
+    # the leaf above rt(q) projects to _T1, whose node 3 is in dom(rt(q)) but not in dom({0:0})
+    q = _fragment({_R: None, _T1: _R})
+    assert leq(_shift_one_p(), q, params) == NotRelated("(f)", f"dom({_T1}) ∩ dom({_R}) != dom({_A})")
+
+
+def test_leq_strict_f_sees_an_extension_leq_does_not_visit(ctx):
+    _, params, _ = ctx
+    p = _shift_one_p()
+    leaf = SpecFn.make({0: 0, 3: 1, 5: 1})
+    q = _fragment({_R: None, leaf: _R})
+    pr = leq(p, q, params)
+    assert isinstance(pr, Projection) and pr.mapping == {_R: _A, leaf: _T2}
+    # _T1 extends the image of rt(q) and meets dom(rt(q)) in node 3
+    assert not leq_strict_f(p, q, pr)
+    assert leq_strict_f(p, p, leq(p, p, params))
+
+
+def test_fragments_agree_below_compares_nodes_labels_and_parents(frag):
+    p = frag
+    assert fragments_agree_below(p, p, p.depth)
+    a, b = p.level_nodes(1)[:2]
+    assert not fragments_agree_below(p, restrict(p, a), 0)
+    bumped = ConditionFragment(parent=p.parent, klabel={**p.klabel, a: p.klabel[a] + 1})
+    assert fragments_agree_below(p, bumped, 0) and not fragments_agree_below(p, bumped, 1)
+    # two leaves trade parents; every level keeps its nodes and labels
+    x, y = p.children(a)[0], p.children(b)[0]
+    swapped = ConditionFragment(parent={**p.parent, x: b, y: a}, klabel=p.klabel)
+    assert swapped.levels() == p.levels()
+    assert fragments_agree_below(p, swapped, 1) and not fragments_agree_below(p, swapped, 2)
+
+
+def test_leq_n_rejects_a_kind_change_and_an_unrelated_pair_at_grade_minus_one(ctx, frag):
+    tree, params, _ = ctx
+    # grade -1 freezes no level, so only the kind test and leq's verdict decide
+    cone = restrict(frag, frag.level_nodes(1)[0])
+    assert isinstance(leq(frag, cone, params), Projection)
+    assert kind_of(frag, params) != kind_of(cone, params)
+    assert not leq_n(frag, cone, -1, tree, params)
+    p, q = _fragment({_A: None}), _fragment({SpecFn.make({0: 1}): None})
+    assert kind_of(p, params) == kind_of(q, params) and isinstance(leq(p, q, params), NotRelated)
+    assert not leq_n(p, q, -1, tree, params)
+
+
+def test_leq_n_freezes_the_labels_of_levels_up_to_n(ctx, frag):
+    # a leaf carries no creature, so only the frozen levels see its label
+    tree, params, _ = ctx
+    leaf = frag.level_nodes(2)[0]
+    bumped = ConditionFragment(parent=frag.parent, klabel={**frag.klabel, leaf: frag.klabel[leaf] + 1})
+    assert isinstance(leq(frag, bumped, params), Projection)
+    assert leq_n(frag, bumped, 1, tree, params)
+    assert not leq_n(frag, bumped, 2, tree, params)

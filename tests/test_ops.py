@@ -42,7 +42,7 @@ def test_glue_fresh_incomparable_nodes(tree, params, four_member):
     c = four_member
     exts = {}
     for eta in c.valrange:
-        picks = [6, 7] if eta.dom()[0] == 3 else [8, 2]
+        picks = [6, 7] if eta.pairs[0][0] == 3 else [8, 2]
         for k in range(2):
             m = eta.as_dict()
             m[picks[k]] = 5 + k
@@ -62,8 +62,8 @@ def test_glue_comparable_extension_nodes_rejected(tree, params, four_member):
     exts = {}
     for eta in c.valrange:
         # 3 < 6: comparable new points across k = 0 and k = 1
-        picks = [3, 6] if eta.dom()[0] == 4 else [6, 7]
-        if eta.dom()[0] == 3:
+        picks = [3, 6] if eta.pairs[0][0] == 4 else [6, 7]
+        if eta.pairs[0][0] == 3:
             picks = [6, 7]
         for k in range(2):
             m = eta.as_dict()
@@ -71,7 +71,7 @@ def test_glue_comparable_extension_nodes_rejected(tree, params, four_member):
                 m[picks[k]] = 5 + k
             exts[(eta, k)] = SpecFn.make(m)
     # members on node 4 get extensions through 3 then 6, which are comparable
-    bad_eta = [eta for eta in c.valrange if eta.dom()[0] == 4][0]
+    bad_eta = [eta for eta in c.valrange if eta.pairs[0][0] == 4][0]
     m0 = bad_eta.as_dict()
     m0[3] = 5
     m1 = bad_eta.as_dict()

@@ -81,6 +81,34 @@ def test_halving_witness_no_integer_between():
         halving_witness(2, 1)
 
 
+def test_halving_witness_is_the_clamped_rounded_root():
+    """k' is the r with (2r - 1)^2 <= 4nk < (2r + 1)^2, clamped into [k + 1, n - 1]."""
+    top = 300
+    rounded = [0]  # rounded[x] for x = nk >= 1, by one upward sweep
+    r = 0
+    for x in range(1, top * top):
+        while (2 * r + 1) ** 2 <= 4 * x:
+            r += 1
+        assert (2 * r - 1) ** 2 <= 4 * x
+        rounded.append(r)
+    for n in range(1, top + 1):
+        for k in range(1, n):
+            if n < 2 * k:
+                with pytest.raises(PreconditionError, match="one unit"):
+                    halving_witness(n, k)
+            elif n - k < 2:
+                with pytest.raises(PreconditionError, match="strictly between"):
+                    halving_witness(n, k)
+            else:
+                assert halving_witness(n, k) == min(max(rounded[n * k], k + 1), n - 1), (n, k)
+    with pytest.raises(DomainError, match="k >= 1"):
+        halving_witness(5, 0)
+    for n, k in ((2 ** 61 - 1, 3), (2 ** 61, 2 ** 30 + 7), (10 ** 18 + 9, 10 ** 9)):
+        r = (math.isqrt(4 * n * k) + 1) // 2  # the largest r with 2r - 1 <= sqrt(4nk)
+        assert (2 * r - 1) ** 2 <= 4 * n * k < (2 * r + 1) ** 2
+        assert halving_witness(n, k) == min(max(r, k + 1), n - 1)
+
+
 def test_shape_monotonicity_sampled():
     sh = default_shape()
     rng = random.Random(0)
@@ -226,7 +254,7 @@ def test_only_decide_takes_a_shape():
     # the norm shape is fixed; decide keeps an unread slot that the benchmark fills
     assert _functions_with_shape() == {"homogenize.decide"}
     assert dataclasses.fields(NormShape) == ()
-    for name in ("f", "kprime", "norm_geq", "norm_pos", "norm_geq_shifted"):
+    for name in ("f", "norm_geq", "norm_pos", "norm_geq_shifted"):
         assert isinstance(inspect.getattr_static(NormShape, name), staticmethod), name
         assert getattr(default_shape(), name) is getattr(NormShape, name)
 

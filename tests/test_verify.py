@@ -1,17 +1,19 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 
 from creature_lab import fixtures as fx
-from creature_lab import creature, verify
+from creature_lab import creature, generators, verify
 from creature_lab.creature import SimpleCreature, validate_creature
 from creature_lab.errors import DomainError, PreconditionError, ValidationError
+from creature_lab.forcing import Projection, leq
 from creature_lab.generators import chain_antichain_tree, diagonal_creature
 from creature_lab.ops import HalveResult, OpResult
 from creature_lab.oracle import oracle_norm0
 from creature_lab.params import make_growth
-from creature_lab.specfn import EMPTY_FN, SpecFn
+from creature_lab.specfn import EMPTY_FN, SpecFn, is_spec
 
 
 def test_unknown_suite():
@@ -229,6 +231,49 @@ def test_no_suite_family_computes_a_norm_twice(monkeypatch, suite, count, seed):
     monkeypatch.setattr(creature, "norm0", counting)
     assert verify.run_suite(suite, count, seed)["status"] == "pass"
     assert calls and [key for key, n in calls.items() if n > 1] == []
+
+
+def test_every_projection_leq_returns_maps_all_of_q():
+    # each node of q below its root is a child of a node one level up, so
+    # leq's level walk maps q whole or returns (c)
+    tree, params = verify._CONDITION
+    related = 0
+    for seed in range(200):
+        pair = verify._leq_pair(random.Random(seed), tree, params)
+        if pair is None:
+            continue
+        p, q = pair
+        pr = leq(p, q, params)
+        if isinstance(pr, Projection):
+            related += 1
+            assert pr.mapping.keys() == set(q.fns), seed
+            assert all(pr(fn) in p for fn in q.fns), seed
+    assert related > 100
+
+
+@pytest.mark.parametrize("context", ["_CREATURE", "_REBASE", "_HALVING", "_CONDITION", "_DEPTH3", "_TALL"])
+def test_random_specfn_draws_spec_functions(monkeypatch, context):
+    # random_specfn does not re-check what it builds: each new node takes a
+    # value below the bound that no comparable assigned node holds
+    tree, params = getattr(verify, context)
+    real = generators.random_specfn
+    drawn = []
+
+    def recording(rng, tree_, max_dom, bound, base=None):
+        fn = real(rng, tree_, max_dom, bound, base)
+        drawn.append((fn, bound, base))
+        return fn
+
+    monkeypatch.setattr(generators, "random_specfn", recording)
+    for i in range(params.imax + 1):
+        for seed in range(200):
+            rng = random.Random(seed)
+            generators.random_creature(rng, tree, params, i=i, value_bound=rng.choice([None, 3, 8]))
+    made = [(fn, bound, base) for fn, bound, base in drawn if fn is not None]
+    assert len(made) > 200
+    for fn, bound, base in made:
+        assert is_spec(tree, fn, bound=bound) and fn.bound == bound, fn
+        assert base is None or fn.extends(base), (fn, base)
 
 
 def test_premise_hit_rate_reported():
