@@ -11,16 +11,18 @@ sets: masks over p.fns, bit j for p.fns[j], whose nodes hold the root and
 every kept node's parent and whose leaves are leaves of p.  The label test
 runs first, on the keep mask and a label table built once per call, which
 holds each node's (label, leaf mask) pairs; only a candidate with a constant
-level becomes a node set, built as a fragment, validated and checked against
-p in the graded order.  decide does not purify: against the set of
-constant-cone nodes, which holds every leaf, purify keeps the whole
-fragment, so it could only repeat the first stage.
+level is certified, on its keep mask, to be a condition q with p <=_m q, and
+only the answer is built as a fragment.  decide does not purify: against
+the set of constant-cone nodes, which holds every leaf, purify keeps the
+whole fragment, so it could only repeat the first stage.
 
 What decide derives from a fragment without reading a label lives in the
 fragment, one index per (tree, params), made lazily and read by every later
 call: the node numbering of keep masks, whether a node with a subset of its
-children is a valid creature, and each node's preferred leaf, the one the
-delta-system of its cone's leaf domains picks.  How many leaves of a cone
+children is a valid creature and that creature's half-norm, each node's
+preferred leaf, the one the delta-system of its cone's leaf domains picks,
+and the certificate's per-level, per-pair and per-node masks, which stand in
+for validate_condition and leq_n on a keep mask.  How many leaves of a cone
 carry each label is read off the call's label table.  The exhaustive
 enumeration is not kept in the index, since one (fragment, m) pair can have
 up to the enumeration limit of keep masks; it is rebuilt on every call from
@@ -34,12 +36,12 @@ from dataclasses import dataclass, field
 
 from .creature import Creature, SimpleCreature, cached_norm0, normhalf, validate_creature
 from .errors import DomainError, PreconditionError, ValidationError
-from .forcing import ConditionFragment, creature_at, leq_n, subfragment, validate_condition
+from .forcing import ConditionFragment, creature_at, kind_of, leq_n, subfragment, validate_condition
 from .ops import halve
 from .params import GrowthSequences, NormShape
-from .specfn import SpecFn
+from .specfn import SpecFn, is_spec, union_spec
 from .specfn import delta_system as _delta_system
-from .tree_model import AmbientTree
+from .tree_model import AmbientTree, initial_segment
 
 
 @dataclass(frozen=True)
@@ -210,30 +212,41 @@ class _DecideIndex:
     `bit` numbers the nodes for keep masks: bit j stands for p.fns[j].  The
     other facts are computed the first time a call asks for them and read by
     every later call on the same fragment, whatever its labelling or m:
-    - whether an internal node with a nonempty subset of its children (a
-      tuple in p.children order, which names the node) is a valid creature;
+    - for an internal node and a nonempty mask of its children (which names
+      the node), the creature they form, or None when it is not valid, and
+      the half-norm of a valid one;
     - each node's preferred leaf, the one that the delta-system of its cone's
-      leaf domains picks first (None when it picks no member).
+      leaf domains picks first (None when it picks no member);
+    - the facts `certify` reads, derived together on its first call: whether
+      p's root fails every q (it has no kind, fails clause (i) or sits at its
+      kind's window edge); each level's node mask and n1 bound; the level
+      that coverage asks q to reach and the nodes whose domains do not tile
+      its segment; each pair of incomparable nodes with a compatible union
+      and that union's bit (0 when it is not a node); and each node's
+      children and level+1 extensions.
     The index lives in the fragment (see `_index`) and holds its nodes but
     never the fragment, so it makes no reference cycle.
     """
 
-    __slots__ = ("tree", "params", "bit", "_valid", "_preferred")
+    __slots__ = ("tree", "params", "bit", "_creature", "_half", "_preferred", "_facts")
 
     def __init__(self, fns: tuple[SpecFn, ...], tree: AmbientTree, params: GrowthSequences):
         self.tree = tree
         self.params = params
         self.bit = {fn: 1 << j for j, fn in enumerate(fns)}
-        self._valid: dict[tuple[SpecFn, ...], bool] = {}
+        self._creature: dict[int, SimpleCreature | None] = {}
+        self._half: dict[int, int] = {}
         self._preferred: dict[SpecFn, SpecFn | None] = {}
+        self._facts: tuple | None = None
 
-    def valid(self, p: ConditionFragment, fn: SpecFn, kids: tuple[SpecFn, ...]) -> bool:
-        ok = self._valid.get(kids)
-        if ok is None:
+    def creature(self, p: ConditionFragment, fn: SpecFn, kids: int) -> SimpleCreature | None:
+        """The creature fn forms with the children in the mask kids, or None
+        when it is not valid."""
+        if kids not in self._creature:
             c = creature_at(p, fn, self.params)
-            cand = SimpleCreature.make(c.i, c.base, kids)
-            ok = self._valid[kids] = validate_creature(cand, self.params, self.tree).ok
-        return ok
+            cand = SimpleCreature.make(c.i, fn, [ch for ch in c.valrange if kids & self.bit[ch]])
+            self._creature[kids] = cand if validate_creature(cand, self.params, self.tree).ok else None
+        return self._creature[kids]
 
     def preferred(self, p: ConditionFragment, fn: SpecFn) -> SpecFn | None:
         if fn not in self._preferred:
@@ -241,6 +254,94 @@ class _DecideIndex:
             _, members = _delta_system([leaf.domset() for leaf in leaves], self.tree)
             self._preferred[fn] = leaves[members[0]] if members else None
         return self._preferred[fn]
+
+    def certify(self, p: ConditionFragment, keep: int, m: int) -> bool:
+        """validate_condition(q).ok and leq_n(p, q, m) for the subfragment q
+        of p on keep, a mask that holds p's root and each kept node's parent.
+
+        q has p's root, so p's kind, and leq's canonical projection of q is
+        the identity: each kept child is the one maximal candidate among its
+        image's children.  So leq's clauses (a)-(e) hold, leq_n's frozen
+        levels <= m must be kept whole, and its norm floor falls on the
+        creatures that lost a child.  Each non-root node of q is a member of
+        its parent's creature, so when that creature is valid the node is a
+        specialization function, extends its parent (leq's clause (f)) and
+        meets the domain-size bound; the root's verdicts on those hold for
+        every q.  An exceptional set that meets the segment leaves no node
+        tiling it, so coverage asks only for its level and tiling leaves.
+        What is left is a fact about one level, one pair of nodes, or one
+        node with its kept children.
+        """
+        if self._facts is None:
+            self._facts = self._derive(p)
+        if not self._facts:
+            return False
+        levels, reach, nontile, unions, nodes = self._facts
+        if not keep & reach:
+            return False
+        for lv, (mask, bound) in enumerate(levels):
+            kept = keep & mask
+            if kept != mask and lv <= m:
+                return False
+            if not kept:
+                break
+            if kept.bit_count() >= bound:
+                return False
+        for pair, union in unions:
+            if keep & pair == pair and not keep & union:
+                return False
+        for node, fn, kids, ext, k in nodes:
+            if not keep & node:
+                continue
+            kept = keep & kids
+            if not kept:
+                if nontile & node:
+                    return False
+                continue
+            if keep & ext != kept or not self.creature(p, fn, kept):
+                return False
+            half = self._half.get(kept)
+            if half is None:
+                half = self._half[kept] = normhalf(self._creature[kept], self.tree, self.params)
+            if k > half or kept != kids and not NormShape.norm_geq(half, max(k, 1), m):
+                return False
+        return True
+
+    def _derive(self, p: ConditionFragment) -> tuple:
+        """certify's facts, (levels, reach, nontile, unions, nodes), or ()
+        when p's root fails every q: it has no kind, it is no specialization
+        function, or its domain is at its kind's window edge."""
+        tree, params, bit = self.tree, self.params, self.bit
+        try:
+            ip = kind_of(p, params)
+        except DomainError:
+            return ()
+        if not is_spec(tree, p.root) or ip > 0 and not len(p.root) < params.n2[ip - 1]:
+            return ()
+        cov = p.coverage
+        seg = initial_segment(tree, cov.alpha) if cov else frozenset()
+        levels, nodes = [], []
+        nontile = 0
+        for lv, level in enumerate(p.levels()):
+            for fn in level:
+                if cov and fn.domset() - cov.u != seg:
+                    nontile |= bit[fn]
+                kids = sum(bit[ch] for ch in p.children(fn))
+                ext = sum(bit[nu] for nu in p.level_nodes(lv + 1) if nu.extends(fn))
+                nodes.append((bit[fn], fn, kids, ext, p.klabel[fn]))
+            # the level-size bound; a level whose kind is past imax keeps no node
+            kind = ip + lv
+            levels.append((sum(bit[fn] for fn in level), params.n1[kind] if kind <= params.imax else 0))
+        unions = []
+        for a, b in itertools.combinations(p.fns, 2):
+            if not (a.extends(b) or b.extends(a)):
+                # the key of validate_condition's clause (v), which shares it
+                u = tree.memoized(("union_spec", a, b), union_spec, tree, a, b)
+                if isinstance(u, SpecFn):
+                    unions.append((bit[a] | bit[b], bit.get(u, 0)))
+        # q must reach the coverage level: no mask meets a level past p's depth
+        reach = sum(bit[fn] for fn in p.level_nodes(max(cov.k, 0) if cov else 0))
+        return tuple(levels), reach, nontile, tuple(unions), tuple(nodes)
 
 
 def _index(p: ConditionFragment, tree: AmbientTree, params: GrowthSequences) -> _DecideIndex:
@@ -328,13 +429,13 @@ def _uniform_subcone(
     if not kids:
         return index.bit[fn] if label.values[fn] == value else 0
     out = index.bit[fn]
-    kept_kids = []
+    kept = 0
     for ch in kids:
         sub = _uniform_subcone(p, ch, value, label, index)
         if sub:
             out |= sub
-            kept_kids.append(ch)
-    if not kept_kids or not index.valid(p, fn, tuple(kept_kids)):
+            kept |= index.bit[ch]
+    if not kept or not index.creature(p, fn, kept):
         return 0
     return out
 
@@ -384,7 +485,7 @@ def _valid_subfragments(
                 subsets.extend(itertools.combinations(kids, r))
         own = bit[fn]
         for subset in subsets:
-            if not index.valid(p, fn, subset):
+            if not index.creature(p, fn, sum(bit[ch] for ch in subset)):
                 continue
             # a child with no options leaves the product empty
             for combo in itertools.product(*[cone_options(ch, lv + 1) for ch in subset]):
@@ -418,10 +519,11 @@ def decide(
     per level, then exhaustive subfragment search.  Each stage yields keep
     masks over p.fns (bit j for p.fns[j]); the label test reads the mask
     against the call's label table first, and only a candidate with a
-    constant level becomes a node set that is built, validated and
-    leq_n-checked: every answer but p must be a condition with p <=_m q.
-    The first that passes answers, and not-found carries the certificate
-    that the exhaustive pass completed.
+    constant level is certified from p's decide index, on its mask, to be a
+    condition q with p <=_m q (`_DecideIndex.certify`, which equals
+    validate_condition(q).ok and leq_n(p, q, m)).  The first that passes
+    answers and is the one candidate built into a fragment; not-found
+    carries the certificate that the exhaustive pass completed.
 
     `shape` is not read: the norm shape is fixed (`params.NormShape`).  The
     slot stays because the benchmark's `decide` workload and its tests fill
@@ -432,6 +534,7 @@ def decide(
         raise DomainError(f"max_level {max_level} is negative: no level can answer")
     cutoff = p.depth if max_level is None else max_level
     label_table = _cone_leaf_labels(p, label)
+    index = _index(p, tree, params)
 
     def candidates():
         """(keep mask, stage, searched) in stage order."""
@@ -448,10 +551,10 @@ def decide(
             continue
         if stage == "trivial":
             q = p  # p <=_m p needs no check
-        else:
+        elif index.certify(p, keep, m):
             q = subfragment(p, {fn for j, fn in enumerate(p.fns) if keep >> j & 1})
-            if not (validate_condition(q, tree, params).ok and leq_n(p, q, m, tree, params)):
-                continue
+        else:
+            continue
         # each kept node of the level, with the one label that meets keep
         table = {
             fn: value

@@ -734,6 +734,8 @@ def _run_decide(rng: random.Random) -> SuiteOutcome:
     res = decide(p, label, m, tree, params, default_shape(), max_level=cutoff)
     if res.found:
         q = res.fragment
+        if not validate_condition(q, tree, params).ok:
+            return SuiteOutcome(False, True, {"valid": False})
         if not leq_n(p, q, m, tree, params):
             return SuiteOutcome(False, True, {"graded": False})
         if res.level > cutoff:

@@ -8,21 +8,28 @@ import pytest
 
 from creature_lab import homogenize, verify
 from creature_lab.creature import (
-    ClauseCheck,
-    ClauseReport,
     SimpleCreature,
     cached_norm0,
     normhalf,
     validate_creature,
 )
 from creature_lab.errors import DomainError, PreconditionError, ValidationError
-from creature_lab.forcing import ConditionFragment, creature_at, leq, leq_n, subfragment, validate_condition
+from creature_lab.forcing import (
+    ConditionFragment,
+    Coverage,
+    creature_at,
+    leq,
+    leq_n,
+    subfragment,
+    validate_condition,
+)
 from creature_lab.generators import (
     depth2_fragment,
     depth3_fragment,
     profile,
     random_labeling,
     random_upward_closed,
+    smooth_target_fragment,
     two_level_tree,
     wide_tree,
 )
@@ -32,6 +39,7 @@ from creature_lab.homogenize import (
     _cone_labels,
     _cone_leaf_labels,
     _greedy_candidates,
+    _index,
     _keep_constant_level,
     _valid_subfragments,
     decide,
@@ -40,6 +48,7 @@ from creature_lab.homogenize import (
     purify,
 )
 from creature_lab.params import NormShape, default_shape, log2ceil, make_growth
+from creature_lab.specfn import SpecFn
 
 
 @pytest.fixture
@@ -562,22 +571,37 @@ def test_decide_matches_the_validate_first_loop():
 
 @pytest.mark.parametrize("broken", ["validate_condition", "leq_n"])
 def test_every_built_candidate_is_checked(broken, monkeypatch):
-    """With validation or the graded order failing every candidate, only p
-    itself may answer: planted labellings that greedy answers go unfound."""
-    cases = [(*_fragment(name), cutoff) for name in ("2x3", "3x3", "3x4") for cutoff in (1, 2)]
-    def run(p, tree, params, cutoff):
-        label = _last_level_labels(p, planted=True)
-        return decide(p, label, 0, tree, params, default_shape(), max_level=cutoff)
+    """Only the answer is built into a fragment, and with the part of the
+    certificate that stands in for validation or for the graded order
+    failing every candidate, only p itself may answer: planted labellings
+    that greedy answers go unfound.  Each run builds its fragment afresh,
+    so no certificate fact outlives the patch."""
+    cases = [(name, cutoff) for name in ("2x3", "3x3", "3x4") for cutoff in (1, 2)]
+    built = [0]
+    real_subfragment = homogenize.subfragment
 
+    def counted(*args):
+        built[0] += 1
+        return real_subfragment(*args)
+
+    def run(name, cutoff):
+        p, tree, params = _fragment(name)
+        label = _last_level_labels(p, planted=True)
+        built[0] = 0
+        res = decide(p, label, 0, tree, params, default_shape(), max_level=cutoff)
+        assert built[0] == (res.found and res.stage != "trivial"), res.stage
+        return res
+
+    monkeypatch.setattr(homogenize, "subfragment", counted)
     plain = [run(*case).stage for case in cases]
     assert "greedy" in plain and "trivial" in plain
     failing = {
-        "validate_condition": lambda q, tree, params: ClauseReport(
-            (ClauseCheck("patched", False),)
-        ),
-        "leq_n": lambda p, q, m, tree, params: False,
+        # p's root is no specialization function: validate_condition fails every q
+        "validate_condition": ("is_spec", lambda tree, fn: False),
+        # each kept creature's half-norm falls below its counter: leq_n fails every q
+        "leq_n": ("normhalf", lambda c, tree, params: -1),
     }[broken]
-    monkeypatch.setattr(homogenize, broken, failing)
+    monkeypatch.setattr(homogenize, *failing)
     for case, before in zip(cases, plain):
         res = run(*case)
         if before == "trivial":
@@ -589,22 +613,25 @@ def test_every_built_candidate_is_checked(broken, monkeypatch):
 @pytest.mark.parametrize("name, m, searched", [("3x3", 0, 64), ("3x4", 1, 1)])
 def test_not_found_builds_and_validates_nothing(name, m, searched, monkeypatch):
     """The benchmark's tail group: on a separating labelling no keep set has
-    a constant level, so the search counts every keep set and never calls
-    validate_condition or leq_n."""
-    calls = {"validate_condition": 0, "leq_n": 0}
-    for fname in calls:
-        real = getattr(homogenize, fname)
+    a constant level, so the search counts every keep set and never certifies
+    or builds a candidate, nor calls validate_condition or leq_n."""
+    calls = {"validate_condition": 0, "leq_n": 0, "subfragment": 0, "certify": 0}
 
-        def counted(*args, _real=real, _name=fname):
-            calls[_name] += 1
-            return _real(*args)
+    def counting(fname, real):
+        def counted(*args):
+            calls[fname] += 1
+            return real(*args)
 
-        monkeypatch.setattr(homogenize, fname, counted)
+        return counted
+
+    for fname in ("validate_condition", "leq_n", "subfragment"):
+        monkeypatch.setattr(homogenize, fname, counting(fname, getattr(homogenize, fname)))
+    monkeypatch.setattr(homogenize._DecideIndex, "certify", counting("certify", homogenize._DecideIndex.certify))
     p, tree, params = _fragment(name)
     label = _last_level_labels(p, planted=False)
     res = decide(p, label, m, tree, params, default_shape(), max_level=1)
     assert (res.found, res.exhaustive, res.searched) == (False, True, searched)
-    assert calls == {"validate_condition": 0, "leq_n": 0}
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def _rows(q):
@@ -716,3 +743,144 @@ def test_the_decide_oracle_reads_no_index(monkeypatch):
     monkeypatch.setattr(homogenize, "_index", refuse)
     monkeypatch.setattr(homogenize, "_DecideIndex", refuse)
     assert [verify._decide_oracle(p, label, m, tree, params, 1) for label, m in cases] == found
+
+
+# -- decide's certificate ------------------------------------------------------
+
+
+def _random_keeps(p, rng, count):
+    """Seeded keep masks over p that hold its root and each kept node's
+    parent; each draw keeps a child of a kept node with one chance of 1/2,
+    4/5 or 19/20."""
+    bit = {fn: 1 << j for j, fn in enumerate(p.fns)}
+    keeps = []
+    for _ in range(count):
+        chance = rng.choice((0.5, 0.8, 0.95))
+        keep = 1
+        for fn in p.fns[1:]:
+            if keep & bit[p.parent[fn]] and rng.random() < chance:
+                keep |= bit[fn]
+        keeps.append(keep)
+    return keeps
+
+
+def _relabelled(p, coverage=None, raise_by=0):
+    """p with a coverage record, and each internal node's klabel raised."""
+    klabel = {fn: k + raise_by if p.children(fn) else k for fn, k in p.klabel.items()}
+    return ConditionFragment(p.parent, klabel, coverage)
+
+
+def _flat(parent, coverage=None):
+    return ConditionFragment(parent, dict.fromkeys(parent, 0), coverage)
+
+
+_E = SpecFn.make({})
+_TIGHT = make_growth(1, ((2, 4), (2, 4), (8, 16)))
+
+
+def _certificate_base(name):
+    """(p, tree, params) for a base fragment of the certificate's test."""
+    cond2 = two_level_tree(), profile("cond2")
+    canonical, _, raised = name.partition("+")
+    if canonical in _DECIDE_GOLDEN:
+        p, tree, params = _fragment(canonical)
+        return _relabelled(p, raise_by=int(raised or 0)), tree, params
+    if name == "kinds past imax":
+        p, tree, _ = _fragment("2x3")
+        return p, tree, make_growth(1, ((4, 33), (4, 40), (8, 80)))
+    if name == "root alone over its n1 bound":
+        return _flat({_E: None}), two_level_tree(), make_growth(1, ((1, 4), (1, 4), (8, 16)))
+    if name == "level over its n1 bound":
+        return _flat({_E: None, **{SpecFn.make({0: v}): _E for v in range(4)}}), two_level_tree(), _TIGHT
+    if name.startswith("domain at its window edge"):
+        wide = SpecFn.make({0: 0, 1: 0})
+        parent = {wide: None} if name.endswith("root") else {_E: None, wide: _E}
+        return _flat(parent), two_level_tree(), _TIGHT
+    if name == "root without a kind":
+        root = SpecFn.make({0: 0, 1: 0, 2: 0, 3: 1, 4: 1})
+        kids = {SpecFn.make({**root.as_dict(), 5: v}): root for v in (1, 2)}
+        return _flat({root: None, **kids}), two_level_tree(), _TIGHT
+    if name == "root no specialization function":
+        return _flat({SpecFn.make({0: 0, 3: 0}): None}), *cond2
+    if name == "klabel above the half-norm":
+        p, tree, params = _fragment("3x3")
+        return ConditionFragment(p.parent, {**p.klabel, p.root: 9}), tree, params
+    if name == "missing union":
+        a, other = SpecFn.make({0: 0}), SpecFn.make({1: 0})
+        b, c = SpecFn.make({0: 0, 3: 1}), SpecFn.make({0: 0, 3: 2})
+        return _flat({_E: None, a: _E, other: _E, b: a, c: a}), *cond2
+    if name in ("union one level up", "extension of a non-parent"):
+        # {0:0} and {1:0} have their union {0:0,1:0} as a child of the first;
+        # it also extends {1:0}, whose own children carry other values on 0
+        a, b = SpecFn.make({0: 0}), SpecFn.make({1: 0})
+        parent = {_E: None, a: _E, b: _E, SpecFn.make({0: 0, 1: 0}): a, SpecFn.make({0: 0, 1: 1}): a}
+        if name == "extension of a non-parent":
+            parent.update({SpecFn.make({0: 1, 1: 0}): b, SpecFn.make({0: 2, 1: 0}): b})
+        return _flat(parent), *cond2
+    if name == "exceptional set meeting the segment":
+        return _flat({_E: None}, Coverage(k=0, alpha=1, u=frozenset({0}))), *cond2
+    p, tree, params = _fragment("2x3")
+    if name == "smooth":
+        p = smooth_target_fragment(tree, params, alpha=2)
+        return _relabelled(p, p.coverage), tree, params
+    # every node tiles the empty segment when u holds every ambient node
+    k = {"coverage at the leaf level": 2, "coverage past the depth": 3}[name]
+    return _relabelled(p, Coverage(k=k, alpha=0, u=frozenset(tree.nodes))), tree, params
+
+
+_CERTIFICATE_BASES = (
+    *sorted(_DECIDE_GOLDEN),
+    *(f"{name}+{d}" for name in sorted(_DECIDE_GOLDEN) for d in (1, 2)),
+    "kinds past imax",
+    "root alone over its n1 bound",
+    "level over its n1 bound",
+    "domain at its window edge, root",
+    "domain at its window edge, child",
+    "root without a kind",
+    "root no specialization function",
+    "klabel above the half-norm",
+    "missing union",
+    "union one level up",
+    "extension of a non-parent",
+    "exceptional set meeting the segment",
+    "smooth",
+    "coverage at the leaf level",
+    "coverage past the depth",
+)
+
+
+@pytest.mark.parametrize("name", _CERTIFICATE_BASES)
+def test_the_certificate_matches_validate_condition_and_leq_n(name):
+    """certify(p, keep, m) == validate_condition(q).ok and leq_n(p, q, m) for
+    the subfragment q on keep: on every mask the exhaustive search yields at
+    m (canonical bases only) and on seeded random masks at every m from -1 to
+    depth + 1."""
+    p, tree, params = _certificate_base(name)
+    grades = range(-1, p.depth + 2)
+    cases = [(keep, m) for keep in _random_keeps(p, random.Random(name), 40) for m in grades]
+    if name in _DECIDE_GOLDEN:
+        cases += [(keep, m) for m in grades for keep in _valid_subfragments(p, m + 1, tree, params)]
+    index = _index(p, tree, params)
+    built = {}
+    verdicts = set()
+    for keep, m in cases:
+        if keep not in built:
+            q = subfragment(p, _nodes(p, keep))
+            built[keep] = q, validate_condition(q, tree, params).ok
+        q, valid = built[keep]
+        want = valid and leq_n(p, q, m, tree, params)
+        assert index.certify(p, keep, m) == want, (keep, m)
+        verdicts.add(want)
+    assert False in verdicts
+
+
+def test_a_root_without_a_kind_fails_validation_and_every_certificate():
+    """A root domain of 5 points, past n2[imax] = 4, admits no kind:
+    validate_condition stops at its root-kind verdict, and the certificate
+    rejects every keep mask at every grade."""
+    p, tree, params = _certificate_base("root without a kind")
+    failed = {c.clause: c.witness for c in validate_condition(p, tree, params).failures()}
+    assert failed == {"(iv) root kind": "domain size 5 exceeds n2[imax] = 4; raise imax"}
+    index = _index(p, tree, params)
+    keeps = (0b001, 0b011, 0b101, 0b111)
+    assert not any(index.certify(p, keep, m) for keep in keeps for m in range(-1, 3))
